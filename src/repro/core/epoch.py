@@ -300,6 +300,7 @@ class PlanRegistry:
         start = time.perf_counter()
         version = self._version()
         plan = QueryPlan.compile(self._index)
+        plan.build_landmark_distances()
         seconds = time.perf_counter() - start
         published = None
         with self._lock:
@@ -453,6 +454,9 @@ class PlanRegistry:
                 incremental = plan is not None
             if plan is None:
                 plan = QueryPlan.compile(index)
+            # Readers of the new epoch must not pay the G build (the
+            # vector kernel's matrix and the exact path's ALT bounds).
+            plan.build_landmark_distances()
         except Exception:
             # A racing writer can leave the dicts mid-mutation under the
             # "thread" mode; the snapshot is garbage either way.  Drop it —

@@ -95,14 +95,35 @@ def sample_vertex_pairs(
     tick draws fresh pairs deterministically); ``seed`` otherwise.
     """
     non_landmarks = [v for v in index.graph.vertices() if not index.is_landmark(v)]
-    if len(non_landmarks) < 2:
+    m = len(non_landmarks)
+    if m < 2:
         return []
     if rng is None:
         rng = random.Random(seed)
-    all_pairs = list(itertools.combinations(non_landmarks, 2))
-    if len(all_pairs) > sample:
-        return rng.sample(all_pairs, sample)
-    return all_pairs
+    total = m * (m - 1) // 2
+    if total <= sample:
+        return list(itertools.combinations(non_landmarks, 2))
+    # Draw ranks into the lexicographic pair order instead of listing all
+    # C(m, 2) pairs: ``rng.sample`` consumes the stream the same way for
+    # any population of this length, so the pairs equal
+    # ``rng.sample(list(combinations(non_landmarks, 2)), sample)``.
+    out = []
+    for rank in rng.sample(range(total), sample):
+        i, j = _unrank_pair(rank, m)
+        out.append((non_landmarks[i], non_landmarks[j]))
+    return out
+
+
+def _unrank_pair(rank: int, m: int) -> tuple[int, int]:
+    """The ``rank``-th ``(i, j)``, ``i < j < m``, in lexicographic order."""
+    # Pairs with first element below i: start(i) = i * (2m - i - 1) / 2.
+    b = 2 * m - 1
+    i = (b - math.isqrt(b * b - 8 * rank)) // 2
+    while i > 0 and i * (b - i) // 2 > rank:
+        i -= 1
+    while (i + 1) * (b - i - 1) // 2 <= rank:
+        i += 1
+    return i, i + 1 + rank - i * (b - i) // 2
 
 
 def canonical_index(graph: Graph, landmarks: Iterable[int]) -> HCLIndex:

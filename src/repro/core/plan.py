@@ -41,16 +41,24 @@ Every plan answer is **bitwise-equal** to the dict path, not just close:
   ``repro.core.batchquery`` documents: float addition is monotone, so
   ``min_j (min_i (d_i + δ)) + d_j`` equals the double-loop minimum
   bitwise;
-* the workspace refinement kernel mirrors the dict kernel's control flow
-  statement for statement (``gen[v] != epoch`` plays ``v not in dist``),
+* the workspace refinement kernel keeps the dict kernel's alternation
+  and relaxation order (``gen[v] != epoch`` plays ``v not in dist``),
   and filtering landmarks out of the compiled adjacency only removes
-  edge scans the dict kernel skips anyway.
+  edge scans the dict kernel skips anyway;
+* on integer-weighted graphs the kernel adds ALT bounds (Goldberg &
+  Harrelson, SODA 2005) read from the exact landmark distances the plan
+  already holds: it returns the upper bound unsearched when the lower
+  bound certifies it, and, when that bound is strong, never pushes a
+  vertex whose tentative distance plus its lower bound to the far
+  endpoint cannot beat the current best.
+  Integer sums are exact in floating point, so the certified or pruned
+  answer is the same float the unpruned search returns.
 
-Budgeted and observed queries dispatch to the *existing* twin kernels
-(:func:`_bounded_bidirectional_masked_budgeted` /
-``_obs``) with the plan's prebuilt mask, so ``DegradedResult`` semantics,
-fault-injection hooks and search counters are inherited rather than
-re-implemented.
+The kernel returns plain work counts, which observed queries record as
+``search.*`` counters.  Budgeted queries dispatch to the dict budgeted
+twin (:func:`_bounded_bidirectional_masked_budgeted`) with the plan's
+prebuilt mask, so ``DegradedResult`` semantics and fault-injection hooks
+are inherited rather than re-implemented.
 
 Plans are immutable snapshots.  Validity is a revision-stamp compare:
 ``Labeling``, ``Highway`` and ``Graph`` each carry a ``_rev`` counter
@@ -71,7 +79,7 @@ from ..budget import Budget
 from ..errors import DeadlineExceeded
 from ..graphs.traversal import (
     _bounded_bidirectional_masked_budgeted,
-    _bounded_bidirectional_masked_obs,
+    _record_search,
 )
 from ..obs import OBS
 
@@ -92,6 +100,12 @@ ROW_HOT_THRESHOLD = 4
 #: counts are dropped, so a long-lived plan serving an adversarially wide
 #: endpoint distribution stays O(cap · k) instead of O(n · k).
 G_ROW_CACHE_CAP = 8192
+
+#: The refinement prunes only when the ALT lower bound reaches this share
+#: of the upper bound.  Evaluating the potential costs about as much as
+#: the rest of an edge relaxation, and a weak bound cuts too few pushes
+#: to pay for it (see DESIGN.md §8).
+ALT_PRUNE_RATIO = 0.75
 
 #: Process-wide monotone plan ids.  A version never repeats within a
 #: process, so ``(segment name, plan_version)`` is a sound memoization
@@ -122,65 +136,28 @@ class SearchWorkspace:
         self.gen_b = [0] * n
 
 
-def _refine_ws(adj, mask, ws, s, t, upper_bound):
-    """Workspace twin of ``bounded_bidirectional_distance_masked``.
+def _landmark_free(nbrs, mask, v):
+    """Row ``v`` of the compiled adjacency: ``((w, u), ...)`` over ``u ∉ R``."""
+    if mask[v]:
+        return ()
+    return tuple((w, u) for u, w in nbrs if not mask[u])
 
-    Statement-for-statement mirror of the dict kernel in
-    ``repro.graphs.traversal`` — same alternation rule, same skip tests,
-    same meeting update — with three representation swaps: ``gen[v] ==
-    epoch`` replaces ``v in dist``, the preallocated workspace replaces
-    the two fresh dicts, and the landmark-filtered compiled adjacency
-    replaces the per-edge ``excluded_mask[v]`` test (it skips exactly the
-    edges the mask test skips).  Each swap preserves the relaxation
-    order, so the returned float is bitwise-identical.
+
+def _patch_adjacency(adj, graph, mask, changed):
+    """``adj`` after the landmarks in ``changed`` joined or left ``R``.
+
+    Only the rows of the changed landmarks and of their neighbours can
+    differ; they are rebuilt exactly as a full compile builds them, into
+    a copy (the prior plan may still be serving).
     """
-    if s == t:
-        return 0.0
-    if mask[s] or mask[t]:
-        return upper_bound
-
-    ws.epoch = epoch = ws.epoch + 1
-    dist_f = ws.dist_f
-    dist_b = ws.dist_b
-    gen_f = ws.gen_f
-    gen_b = ws.gen_b
-    dist_f[s] = 0.0
-    gen_f[s] = epoch
-    dist_b[t] = 0.0
-    gen_b[t] = epoch
-    heap_f = [(0.0, s)]
-    heap_b = [(0.0, t)]
-    best = upper_bound
-
-    while heap_f and heap_b:
-        if heap_f[0][0] + heap_b[0][0] >= best:
-            break
-        if heap_f[0][0] <= heap_b[0][0]:
-            heap, dist, gen, odist, ogen = heap_f, dist_f, gen_f, dist_b, gen_b
-        else:
-            heap, dist, gen, odist, ogen = heap_b, dist_b, gen_b, dist_f, gen_f
-        d, u = heappop(heap)
-        if d > dist[u]:  # stale heap entry (u was pushed, so gen[u] == epoch)
-            continue
-        if d >= best:
-            continue
-        for w, v in adj[u]:
-            nd = d + w
-            in_other = ogen[v] == epoch
-            if nd >= best and not in_other:
-                continue
-            if gen[v] != epoch:
-                gen[v] = epoch
-                dist[v] = nd
-                heappush(heap, (nd, v))
-            elif nd < dist[v]:
-                dist[v] = nd
-                heappush(heap, (nd, v))
-            if in_other:
-                total = dist[v] + odist[v]
-                if total < best:
-                    best = total
-    return best
+    neighbors = graph.neighbors
+    rows = set(changed)
+    for r in changed:
+        rows.update(u for u, _ in neighbors(r))
+    adj = list(adj)
+    for v in rows:
+        adj[v] = _landmark_free(neighbors(v), mask, v)
+    return adj
 
 
 class QueryPlan:
@@ -208,7 +185,9 @@ class QueryPlan:
         "_hwrows",
         # lazy serving state
         "_adj",
+        "_integral",
         "_ws",
+        "_alt_src",
         "_g_rows",
         "_g_freq",
         # optional accelerated backends (lazy, never pickled)
@@ -269,7 +248,9 @@ class QueryPlan:
         hwlist = self.hw.tolist()
         self._hwrows = [hwlist[i * k : (i + 1) * k] for i in range(k)]
         self._adj = None
+        self._integral = False
         self._ws = None
+        self._alt_src = None
         self._g_rows = {}
         self._g_freq = {}
 
@@ -395,16 +376,21 @@ class QueryPlan:
         plan.mask = mask
         plan._rows = rows
         plan._hwrows = hwrows
-        # The compiled adjacency depends on (graph, mask); reuse the prior
-        # epoch's O(n + m) pass only when the landmark set *and* the
-        # graph's edge weights are both unchanged.
-        plan._adj = (
-            prior._adj
-            if mask == prior.mask
-            and getattr(graph, "_rev", 0) == prior._stamp[2]
-            else None
-        )
+        # The compiled adjacency depends on (graph, mask).  A moved graph
+        # revision drops it (the next exact query recompiles it); a
+        # landmark-only change rebuilds just the rows around the changed
+        # landmarks.
+        adj = prior._adj
+        if adj is not None and getattr(graph, "_rev", 0) != prior._stamp[2]:
+            adj = None
+        if adj is not None:
+            changed = prior.slot_of.keys() ^ slot_of.keys()
+            if changed:
+                adj = _patch_adjacency(adj, graph, mask, changed)
+        plan._adj = adj
+        plan._integral = prior._integral if adj is not None else False
         plan._ws = None
+        plan._alt_src = None
         plan._g_rows = {}
         plan._g_freq = {}
         plan.plan_version = next(_PLAN_VERSIONS)
@@ -677,6 +663,11 @@ class QueryPlan:
         if len(g_rows) >= G_ROW_CACHE_CAP:
             g_rows.clear()
             self._g_freq.clear()
+        g = g_rows[v] = self._landmark_row(v)
+        return g
+
+    def _landmark_row(self, v: int) -> list[float]:
+        """``g_v`` by slot: ``g_v[j]`` is ``d(r_j, v)`` (``inf`` on holes)."""
         k = self.k
         g = [INF] * k
         hwrows = self._hwrows
@@ -686,7 +677,6 @@ class QueryPlan:
                 d = di + hwrow[j]
                 if d < g[j]:
                     g[j] = d
-        g_rows[v] = g
         return g
 
     def note_endpoints(self, keys) -> None:
@@ -724,10 +714,12 @@ class QueryPlan:
     ) -> float:
         """Exact ``d(s, t)`` — bitwise-equal to :meth:`HCLIndex.distance`.
 
-        Same branch structure; with a budget (or tracing enabled) the
-        refinement dispatches to the existing budgeted/observed dict
-        kernels with the plan's prebuilt mask, so degraded-answer
-        semantics and counters are exactly the dict path's.
+        Same branch structure; with a budget the refinement dispatches to
+        the dict budgeted kernel with the plan's prebuilt mask, so
+        degraded-answer semantics are exactly the dict path's.  With
+        tracing enabled the plan's own kernel serves and its work counts
+        become the ``search.*`` counters, plus ``search.certified`` for
+        refinements the ALT lower bound skipped.
 
         ``ub`` short-circuits the constrained upper bound with a value
         the caller already computed (the vectorized batch solver bounds
@@ -763,9 +755,13 @@ class QueryPlan:
                 ub = self.query(s, t, budget)
         if budget is None:
             if OBS.enabled:
-                return _bounded_bidirectional_masked_obs(
-                    self._graph, s, t, ub, mask
+                best, settled, edges, pushes, certified = self._search(
+                    s, t, ub
                 )
+                OBS.registry.counter("search.bidirectional.calls").inc()
+                OBS.registry.counter("search.certified").inc(int(certified))
+                _record_search(settled, edges, pushes)
+                return best
             return self.refine(s, t, ub)
         if budget.check():
             if strict:
@@ -787,14 +783,213 @@ class QueryPlan:
         return best
 
     def refine(self, s: int, t: int, upper_bound: float) -> float:
-        """Bounded bidirectional refinement on the compiled adjacency."""
+        """Exact ``d(s, t)`` from the constrained ``upper_bound``.
+
+        Bitwise-equal to ``bounded_bidirectional_distance_masked`` on the
+        plan's graph and landmark mask; see :meth:`_search`.
+        """
+        return self._search(s, t, upper_bound)[0]
+
+    def _search(self, s: int, t: int, upper_bound: float):
+        """The refinement kernel: ``(best, settled, edges, pushes, certified)``.
+
+        A bounded bidirectional Dijkstra on the compiled landmark-free
+        adjacency with the dict kernel's alternation rule, skip tests
+        and meeting update.  When every edge weight is integral it adds
+        two ALT steps (:meth:`_alt`):
+
+        * *certify* — ``upper_bound <= LB(s, t)`` proves the bound exact,
+          so it is returned without settling anything;
+        * *prune* — when ``LB`` is strong enough to pay for the test
+          (:data:`ALT_PRUNE_RATIO`), a vertex ``v`` is never pushed when
+          its tentative distance plus ``π(v)``, the lower bound on
+          ``d(v, t)`` (on the backward side: ``d(s, v)``), reaches
+          ``best``: no path through it can beat the current bound.
+
+        Both bounds hold in ``G`` and therefore in ``G[V∖R]``, and integer
+        sums are exact in floating point, so the answer is the float the
+        unpruned search returns.  The counts are settled vertices, the
+        adjacency entries they scanned and heap pushes.
+        """
+        if s == t:
+            return 0.0, 0, 0, 0, False
+        if self.mask[s] or self.mask[t]:
+            return upper_bound, 0, 0, 0, False
         adj = self._adj
         if adj is None:
             adj = self._compile_adjacency()
+        c1 = c2 = None
+        if self._integral and self.k:
+            cols = self._alt(s, t, upper_bound)
+            if cols is None:
+                return upper_bound, 0, 0, 0, True
+            c1, c2 = cols
+        if c1 is not None:
+            s1, s2, t1, t2 = c1[s], c2[s], c1[t], c2[t]
+        else:
+            s1 = s2 = t1 = t2 = 0.0
         ws = self._ws
         if ws is None:
             ws = self._ws = SearchWorkspace(self.n)
-        return _refine_ws(adj, self.mask, ws, s, t, upper_bound)
+
+        ws.epoch = epoch = ws.epoch + 1
+        dist_f = ws.dist_f
+        dist_b = ws.dist_b
+        gen_f = ws.gen_f
+        gen_b = ws.gen_b
+        dist_f[s] = 0.0
+        gen_f[s] = epoch
+        dist_b[t] = 0.0
+        gen_b[t] = epoch
+        heap_f = [(0.0, s)]
+        heap_b = [(0.0, t)]
+        best = upper_bound
+        settled = edges = 0
+        pushes = 2
+
+        while heap_f and heap_b:
+            if heap_f[0][0] + heap_b[0][0] >= best:
+                break
+            # Forward prunes towards t, backward towards s.
+            if heap_f[0][0] <= heap_b[0][0]:
+                heap, dist, gen, odist, ogen = heap_f, dist_f, gen_f, dist_b, gen_b
+                y1, y2 = t1, t2
+            else:
+                heap, dist, gen, odist, ogen = heap_b, dist_b, gen_b, dist_f, gen_f
+                y1, y2 = s1, s2
+            d, u = heappop(heap)
+            if d > dist[u]:  # stale heap entry (u was pushed, so gen[u] == epoch)
+                continue
+            if d >= best:
+                continue
+            settled += 1
+            nbrs = adj[u]
+            edges += len(nbrs)
+            for w, v in nbrs:
+                nd = d + w
+                if nd >= best:
+                    # Pruning skips this push even when v met the other
+                    # side: a meeting at v cannot improve best then.
+                    if c1 is not None or ogen[v] != epoch:
+                        continue
+                elif c1 is not None:
+                    # π(v) = max over both columns of |d(r, v) - d(r, y)|.
+                    p = c1[v] - y1
+                    if p < 0.0:
+                        p = -p
+                    q = c2[v] - y2
+                    if q < 0.0:
+                        q = -q
+                    if q > p:
+                        p = q
+                    if nd + p >= best:
+                        continue
+                if gen[v] != epoch:
+                    gen[v] = epoch
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+                    pushes += 1
+                elif nd < dist[v]:
+                    dist[v] = nd
+                    heappush(heap, (nd, v))
+                    pushes += 1
+                if ogen[v] == epoch:
+                    total = dist[v] + odist[v]
+                    if total < best:
+                        best = total
+        return best, settled, edges, pushes, False
+
+    def _alt(self, s: int, t: int, upper_bound: float):
+        """ALT columns for one refinement, or ``None`` if ``upper_bound`` is exact.
+
+        ``LB(s, t) = max_r |d(r, s) - d(r, t)|`` over the landmarks is a
+        lower bound on ``d(s, t)`` by the triangle inequality; when it
+        reaches ``upper_bound`` the bound is certified.  A landmark that
+        reaches exactly one endpoint proves ``d(s, t) = inf``, which every
+        upper bound certifies.  Otherwise returns the distance columns
+        ``d(r, ·)`` of the two landmarks with the largest gaps, or
+        ``(None, None)`` — search unpruned — when ``LB`` is below
+        :data:`ALT_PRUNE_RATIO` of the bound (or no landmark reaches both
+        endpoints).
+        """
+        G = self._alt_source()[1]
+        if G is not None:
+            gs = G[s].tolist()
+            gt = G[t].tolist()
+        else:
+            gs = self._landmark_row(s)
+            gt = self._landmark_row(t)
+        lb = gap2 = -1.0
+        j1 = j2 = -1
+        for j, a in enumerate(gs):
+            b = gt[j]
+            if a == INF or b == INF:
+                if a != b:
+                    return None
+                continue
+            gap = a - b if a > b else b - a
+            if gap > lb:
+                j2, gap2, j1, lb = j1, lb, j, gap
+            elif gap > gap2:
+                j2, gap2 = j, gap
+        if upper_bound <= lb:
+            return None
+        if lb < ALT_PRUNE_RATIO * upper_bound:
+            return None, None
+        c1 = self._alt_column(j1)
+        return c1, (self._alt_column(j2) if j2 >= 0 else c1)
+
+    def _alt_source(self):
+        """``(ids, G, columns)``: where the exact landmark distances live.
+
+        With numpy, ``G`` is the vector backend's matrix and column ``j``
+        holds ``d(ids[j], ·)`` in the canonical dense landmark order;
+        without it ``G`` is ``None`` and rows and columns are computed
+        from the label rows in slot order (``ids`` may then hold ``-1``
+        holes, whose entries are all ``inf``).  ``columns`` caches
+        extracted columns by landmark id.
+        """
+        alt = self._alt_src
+        if alt is None:
+            vec = self.vector_backend()
+            if vec is not None:
+                alt = (sorted(self.slot_of), vec.g_matrix(), {})
+            else:
+                alt = (self.landmark_ids.tolist(), None, {})
+            self._alt_src = alt
+        return alt
+
+    def _alt_column(self, j: int) -> list[float]:
+        """``d(ids[j], v)`` for every vertex ``v``, cached by landmark id."""
+        ids, G, columns = self._alt_src
+        r = ids[j]
+        col = columns.get(r)
+        if col is None:
+            if G is not None:
+                col = G[:, j].tolist()
+            else:
+                hcol = [hwrow[j] for hwrow in self._hwrows]
+                col = []
+                for row in self._rows:
+                    best = INF
+                    for d, si in row:
+                        x = d + hcol[si]
+                        if x < best:
+                            best = x
+                    col.append(best)
+            columns[r] = col
+        return col
+
+    def build_landmark_distances(self) -> None:
+        """Build the vector backend's ``G`` now (a no-op without numpy).
+
+        The batch kernel and the exact path's ALT bounds both read ``G``;
+        :class:`~repro.core.epoch.PlanRegistry` calls this before it
+        publishes an epoch, so no read after a write pays for the build.
+        """
+        vec = self.vector_backend()
+        if vec is not None:
+            vec.g_matrix()
 
     def _compile_adjacency(self):
         """Landmark-free ``adj[v] = ((w, u), ...)``, lazily on first use.
@@ -802,28 +997,26 @@ class QueryPlan:
         Only exact queries pay for this O(n + m) pass; constrained-only
         plans never touch the graph.  Landmark rows compile to empty
         tuples — the kernel rejects landmark endpoints before expanding.
+        The same pass records whether every edge weight is integral, the
+        condition for the kernel's ALT bounds.
         """
-        graph = self._graph
-        mask = self.mask
-        neighbors = graph.neighbors
         if OBS.enabled:
             with OBS.span("plan.compile_adjacency"):
-                adj = [
-                    ()
-                    if mask[v]
-                    else tuple(
-                        (w, u) for u, w in neighbors(v) if not mask[u]
-                    )
-                    for v in range(self.n)
-                ]
-        else:
-            adj = [
-                ()
-                if mask[v]
-                else tuple((w, u) for u, w in neighbors(v) if not mask[u])
-                for v in range(self.n)
-            ]
+                return self._build_adjacency()
+        return self._build_adjacency()
+
+    def _build_adjacency(self):
+        graph = self._graph
+        neighbors = graph.neighbors
+        mask = self.mask
+        rows = [neighbors(v) for v in range(self.n)]
+        adj = [_landmark_free(nbrs, mask, v) for v, nbrs in enumerate(rows)]
         self._adj = adj
+        # Few distinct weights in practice: test each once.
+        self._integral = graph.unweighted or all(
+            float(w).is_integer()
+            for w in {w for nbrs in rows for _, w in nbrs}
+        )
         return adj
 
     # ------------------------------------------------------------------
