@@ -17,10 +17,11 @@ MVCC semantics:
   increment under a mutex; the query loop takes no locks.
 * A committing :class:`~repro.core.transaction.IndexTransaction` notifies
   the registry, which recompiles the next plan — *incrementally* when the
-  head epoch matches the transaction's base version: only label rows in
-  the transaction's touched set (the undo journal already computed it)
-  are rebuilt, every other row is shared structurally with the prior
-  epoch — and atomically swaps the head.  Readers that pinned epoch *N*
+  head epoch matches the transaction's base version: only the label rows
+  the transaction changed are rebuilt, every other row is shared
+  structurally with the prior epoch, and the vector backend's arrays and
+  ``G`` are patched rather than rebuilt (DESIGN.md §9) — and atomically
+  swaps the head.  Readers that pinned epoch *N*
   keep serving *N*, bitwise-stable, while *N+1* is compiled and
   published.
 * A replaced epoch is *retired*; it leaves the live set the moment its
@@ -63,7 +64,7 @@ import threading
 import time
 from typing import TYPE_CHECKING
 
-from ..obs import OBS
+from ..obs import OBS, SIZE_BOUNDS
 from .plan import QueryPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -81,16 +82,19 @@ _PUBLISH_HOOK = None
 class _RecompileTask:
     """One scheduled recompile: what changed, from which base version."""
 
-    __slots__ = ("affected", "base_version", "grew", "cancelled", "started")
+    __slots__ = (
+        "affected", "edges", "base_version", "grew", "cancelled", "started",
+    )
 
-    def __init__(self, affected, base_version, grew):
-        self.affected = affected  # set[int] of touched label rows, or None
+    def __init__(self, affected, base_version, grew, edges=()):
+        self.affected = affected  # set[int] of changed label rows, or None
+        self.edges = edges  # endpoints of reweighted edges
         self.base_version = base_version  # index version at transaction start
         self.grew = grew  # labeling gained vertices (forces full compile)
         self.cancelled = False
         self.started = False
 
-    def merge(self, affected, grew) -> None:
+    def merge(self, affected, grew, edges=()) -> None:
         """Fold a later commit into this not-yet-started task.
 
         The base version stays the *older* transaction's: every write
@@ -101,6 +105,8 @@ class _RecompileTask:
             self.affected = None
         else:
             self.affected |= affected
+        if edges:
+            self.edges = set(self.edges) | set(edges)
         self.grew = self.grew or grew
 
 
@@ -197,6 +203,12 @@ class PlanRegistry:
         self.incremental_publishes = 0
         self.cancelled_recompiles = 0
         self.last_recompile_seconds = 0.0
+        # How each published plan's G came to be: patched from the prior
+        # epoch's, or fully built (reasons: see _publish_locked).
+        self.g_patched = 0
+        self.g_full = 0
+        self.last_g_path: str | None = None
+        self.last_rows_patched = 0
         self._listeners: list = []
 
     # ------------------------------------------------------------------
@@ -300,12 +312,14 @@ class PlanRegistry:
         start = time.perf_counter()
         version = self._version()
         plan = QueryPlan.compile(self._index)
-        plan.build_landmark_distances()
+        g_path = "no_prior" if plan.build_landmark_distances() else None
         seconds = time.perf_counter() - start
         published = None
         with self._lock:
             if self._head is None and version == self._version():
-                self._publish_locked(plan, version, seconds, incremental=False)
+                self._publish_locked(
+                    plan, version, seconds, False, g_path, plan.n
+                )
                 published = self._head
             # else: lost a benign race (another reader compiled, or the
             # writer mutated mid-compile) — retry from acquire()/head_plan().
@@ -315,13 +329,16 @@ class PlanRegistry:
     # ------------------------------------------------------------------
     # Writer side
     # ------------------------------------------------------------------
-    def on_commit(self, affected=None, base_version=None, grew=False) -> None:
+    def on_commit(
+        self, affected=None, base_version=None, grew=False, edges=()
+    ) -> None:
         """A transaction committed: schedule (or run) the next epoch.
 
-        ``affected`` is the set of label rows the transaction touched
-        (the undo journal's copy-on-write keys), ``base_version`` the
-        index version when it opened, ``grew`` whether the labeling
-        gained vertices.  Called by
+        ``affected`` is the set of label rows the transaction changed
+        (the registry takes ownership of it), ``base_version`` the index
+        version when it opened, ``grew`` whether the labeling gained
+        vertices, ``edges`` the endpoints of the edges it reweighted.
+        Called by
         :class:`~repro.core.transaction.IndexTransaction`; no-op until a
         first epoch exists — there is nothing to keep current yet.
         """
@@ -332,18 +349,14 @@ class PlanRegistry:
             if pending is not None and not pending.started:
                 # Deferred mode: coalesce consecutive commits into one
                 # recompile spanning both touched sets.
-                pending.merge(affected, grew)
+                pending.merge(affected, grew, edges)
                 return
             if pending is not None:
                 # An in-flight (threaded) recompile no longer reflects the
                 # tip; it must not publish over this commit.
                 pending.cancelled = True
                 self.cancelled_recompiles += 1
-            task = _RecompileTask(
-                set(affected) if affected is not None else None,
-                base_version,
-                grew,
-            )
+            task = _RecompileTask(affected, base_version, grew, edges)
             self._pending = task
         mode = self.recompile_mode
         if mode == "sync":
@@ -440,6 +453,7 @@ class PlanRegistry:
         prior = self._head
         plan = None
         incremental = False
+        reason = "grew" if task.grew else "no_prior"
         try:
             if (
                 task.affected is not None
@@ -449,14 +463,19 @@ class PlanRegistry:
                 and prior.version == task.base_version
             ):
                 plan = QueryPlan.compile_incremental(
-                    prior.plan, index, task.affected
+                    prior.plan, index, task.affected, task.edges
                 )
                 incremental = plan is not None
+                if not incremental:
+                    reason = "holes"
             if plan is None:
                 plan = QueryPlan.compile(index)
             # Readers of the new epoch must not pay the G build (the
-            # vector kernel's matrix and the exact path's ALT bounds).
-            plan.build_landmark_distances()
+            # vector kernel's matrix and the exact path's ALT bounds);
+            # a patched plan has it already.
+            g_path = None
+            if plan.build_landmark_distances():
+                g_path = plan.g_path or reason
         except Exception:
             # A racing writer can leave the dicts mid-mutation under the
             # "thread" mode; the snapshot is garbage either way.  Drop it —
@@ -485,12 +504,23 @@ class PlanRegistry:
                 return False
             if self._pending is task:
                 self._pending = None
-            self._publish_locked(plan, expected, seconds, incremental)
+            rows = len(task.affected) if incremental else plan.n
+            self._publish_locked(
+                plan, expected, seconds, incremental, g_path, rows
+            )
             published = self._head
         self._notify_publish(published)
         return True
 
-    def _publish_locked(self, plan, version, seconds, incremental) -> None:
+    def _publish_locked(
+        self, plan, version, seconds, incremental, g_path, rows
+    ) -> None:
+        """Swap in ``plan`` as the head epoch and count the publish.
+
+        ``g_path`` is ``"patched"``, a full-build reason (``"hw_moved"``,
+        ``"holes"``, ``"grew"``, ``"no_prior"``) or ``None`` without
+        numpy; ``rows`` is the number of label rows the publish rebuilt.
+        """
         epoch = PlanEpoch(plan, self._next_id, version, self)
         self._next_id += 1
         old = self._head
@@ -504,11 +534,23 @@ class PlanRegistry:
         if incremental:
             self.incremental_publishes += 1
         self.last_recompile_seconds = seconds
+        self.last_g_path = g_path
+        self.last_rows_patched = rows
+        if g_path == "patched":
+            self.g_patched += 1
+        elif g_path is not None:
+            self.g_full += 1
         if OBS.enabled:
             reg = OBS.registry
             reg.counter("plan.epoch.publishes").inc()
             if incremental:
                 reg.counter("plan.epoch.incremental").inc()
+            if g_path == "patched":
+                reg.counter("plan.epoch.g_patched").inc()
+            elif g_path is not None:
+                reg.counter("plan.epoch.g_full").inc()
+                reg.counter(f"plan.epoch.g_full.{g_path}").inc()
+            reg.histogram("plan.epoch.rows_patched", SIZE_BOUNDS).observe(rows)
             reg.gauge("plan.epoch.id").set(epoch.epoch_id)
             reg.gauge("plan.epoch.live").set(len(self._live))
 
@@ -536,6 +578,10 @@ class PlanRegistry:
                 "cancelled": self.cancelled_recompiles,
                 "pending": self._pending is not None,
                 "last_recompile_seconds": self.last_recompile_seconds,
+                "g_patched": self.g_patched,
+                "g_full": self.g_full,
+                "last_g_path": self.last_g_path,
+                "last_rows_patched": self.last_rows_patched,
                 "mode": self.recompile_mode,
             }
 

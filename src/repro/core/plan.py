@@ -143,21 +143,34 @@ def _landmark_free(nbrs, mask, v):
     return tuple((w, u) for u, w in nbrs if not mask[u])
 
 
-def _patch_adjacency(adj, graph, mask, changed):
-    """``adj`` after the landmarks in ``changed`` joined or left ``R``.
+def _patch_adjacency(adj, graph, mask, changed, edges):
+    """``adj`` after the landmarks in ``changed`` joined or left ``R`` and
+    the edges at the vertices ``edges`` were reweighted.
 
-    Only the rows of the changed landmarks and of their neighbours can
-    differ; they are rebuilt exactly as a full compile builds them, into
-    a copy (the prior plan may still be serving).
+    Only the rows of the changed landmarks, of their neighbours and of
+    the reweighted edges' endpoints can differ; they are rebuilt exactly
+    as a full compile builds them, into a copy (the prior plan may still
+    be serving).
     """
     neighbors = graph.neighbors
     rows = set(changed)
+    rows.update(edges)
     for r in changed:
         rows.update(u for u, _ in neighbors(r))
     adj = list(adj)
     for v in rows:
         adj[v] = _landmark_free(neighbors(v), mask, v)
     return adj
+
+
+def _integral_weights(graph, vertices) -> bool:
+    """Whether every edge weight at ``vertices`` is a whole number."""
+    if graph.unweighted:
+        return True
+    neighbors = graph.neighbors
+    # Few distinct weights in practice: test each once.
+    weights = {w for v in vertices for _, w in neighbors(v)}
+    return all(float(w).is_integer() for w in weights)
 
 
 class QueryPlan:
@@ -190,9 +203,13 @@ class QueryPlan:
         "_alt_src",
         "_g_rows",
         "_g_freq",
+        # densified canonical arrays of an incremental plan (memoized)
+        "_canonical",
         # optional accelerated backends (lazy, never pickled)
         "plan_version",
         "_vec",
+        # how _patch derived _vec's G: "patched" or "hw_moved" (rebuilt)
+        "g_path",
         "_shm",
         # validity stamp (source objects + their revisions)
         "_graph",
@@ -217,7 +234,9 @@ class QueryPlan:
         self._highway = None
         self._stamp = None
         self.plan_version = next(_PLAN_VERSIONS)
+        self._canonical = None
         self._vec = None
+        self.g_path = None
         self._shm = None
         self._build_views()
 
@@ -267,21 +286,25 @@ class QueryPlan:
 
     @classmethod
     def compile_incremental(
-        cls, prior: "QueryPlan", index: "HCLIndex", affected
+        cls, prior: "QueryPlan", index: "HCLIndex", affected, edges=()
     ) -> "QueryPlan | None":
         """Compile the next plan by patching ``prior``, or ``None``.
 
-        ``affected`` is the set of label rows touched since ``prior`` was
-        compiled (a transaction's undo-journal keys computes it for
-        free).  Only those rows are rebuilt; every other per-vertex row
-        tuple is shared *structurally* with the prior plan, so the cost
-        is ``O(|affected| · row + k²)`` instead of ``O(n · row)``.
+        ``affected`` is the set of label rows that changed since ``prior``
+        was compiled (a transaction compares its undo journal's saved
+        rows with the live ones), ``edges`` the endpoints of edges
+        reweighted since.  Only those rows are rebuilt; every other
+        per-vertex row tuple is shared *structurally* with the prior
+        plan, and the vector backend is patched from the prior's
+        (:meth:`repro.core.planvec.VectorBackend.patched`), so the cost
+        is ``O(|affected| · row + k²)`` Python work plus array copies
+        instead of ``O(n · row)``.
 
         Slot stability makes the sharing sound: surviving landmarks keep
         their ``prior`` slots, removed landmarks leave ``-1`` holes in
-        ``landmark_ids`` (their ``δ_H`` rows turn to ``inf``), and added
-        landmarks fill holes in sorted order before appending.  An
-        unaffected row can never reference a hole — ``DOWNGRADE-LMK``
+        ``landmark_ids`` (their ``δ_H`` rows and columns turn to ``inf``),
+        and added landmarks fill holes in sorted order before appending.
+        An unaffected row can never reference a hole — ``DOWNGRADE-LMK``
         rewrites every row that contained the removed landmark, so all
         such rows are in ``affected`` by construction.  Bitwise equality
         with a full compile holds because ``min`` over the fixed
@@ -294,8 +317,8 @@ class QueryPlan:
         a quarter of the slot space.  Edge-weight revisions of the graph
         do *not* force a full compile — the batch-dynamic repair rewrites
         every label/highway row a weight change invalidates, so those
-        rows arrive via ``affected``; only the cached adjacency is
-        graph-derived, and :meth:`_patch` drops it when the graph moved.
+        rows arrive via ``affected``; the graph-derived adjacency is
+        patched at ``edges``.
         """
         labeling = index.labeling
         highway = index.highway
@@ -325,13 +348,13 @@ class QueryPlan:
             return None
         if OBS.enabled:
             with OBS.span("plan.compile_incremental"):
-                plan = cls._patch(prior, index, affected, ids)
+                plan = cls._patch(prior, index, affected, edges, ids)
             OBS.registry.counter("plan.incremental_compiles").inc()
             return plan
-        return cls._patch(prior, index, affected, ids)
+        return cls._patch(prior, index, affected, edges, ids)
 
     @classmethod
-    def _patch(cls, prior, index, affected, ids) -> "QueryPlan":
+    def _patch(cls, prior, index, affected, edges, ids) -> "QueryPlan":
         labeling = index.labeling
         highway = index.highway
         graph = index.graph
@@ -340,11 +363,14 @@ class QueryPlan:
         slot_of = {r: i for i, r in enumerate(ids) if r >= 0}
 
         rows = list(prior._rows)
+        labels = labeling._labels
+        slot = slot_of.__getitem__
         for v in affected:
-            row = sorted(
-                (slot_of[r], d) for r, d in labeling.row_items(v)
+            label = labels[v]
+            order = sorted(label, key=slot)
+            rows[v] = tuple(
+                zip(map(label.__getitem__, order), map(slot, order))
             )
-            rows[v] = tuple((d, s) for s, d in row)
 
         hw = array("d", [INF]) * (k * k)
         hwrows = []
@@ -366,35 +392,56 @@ class QueryPlan:
         plan.n = n
         plan.k = k
         plan.landmark_ids = array("q", ids)
-        # Canonical arrays are pickle-only state; derive lazily (see
-        # __reduce__) instead of paying O(n · row) on every epoch.
+        # The dense canonical arrays are pickle/shm/audit-only state:
+        # densified lazily (see canonical_arrays) instead of paying
+        # O(n · row) on every epoch.
         plan.label_offsets = None
         plan.label_slots = None
         plan.label_dists = None
+        plan._canonical = None
         plan.hw = hw
         plan.slot_of = slot_of
         plan.mask = mask
         plan._rows = rows
         plan._hwrows = hwrows
-        # The compiled adjacency depends on (graph, mask).  A moved graph
-        # revision drops it (the next exact query recompiles it); a
-        # landmark-only change rebuilds just the rows around the changed
-        # landmarks.
+        # The compiled adjacency depends on (graph, mask): rebuild the
+        # rows around changed landmarks and reweighted edges.  A graph
+        # that moved without journaled reweights drops it (the next
+        # exact query recompiles it).
         adj = prior._adj
-        if adj is not None and getattr(graph, "_rev", 0) != prior._stamp[2]:
-            adj = None
+        integral = prior._integral
         if adj is not None:
-            changed = prior.slot_of.keys() ^ slot_of.keys()
-            if changed:
-                adj = _patch_adjacency(adj, graph, mask, changed)
+            if getattr(graph, "_rev", 0) != prior._stamp[2] and not edges:
+                adj = None
+            else:
+                changed = prior.slot_of.keys() ^ slot_of.keys()
+                if changed or edges:
+                    adj = _patch_adjacency(adj, graph, mask, changed, edges)
+                if edges:
+                    # An integral graph stays integral unless a new
+                    # weight is fractional; a fractional one may have
+                    # lost its last fractional edge.
+                    integral = _integral_weights(
+                        graph, edges if integral else range(n)
+                    )
         plan._adj = adj
-        plan._integral = prior._integral if adj is not None else False
-        plan._ws = None
+        plan._integral = integral if adj is not None else False
+        # A prior that refined gets a successor ready to refine: its own
+        # workspace (readers may still search on the prior's), allocated
+        # here so the O(n) cost stays off the first exact read.
+        plan._ws = SearchWorkspace(n) if prior._ws is not None else None
         plan._alt_src = None
         plan._g_rows = {}
         plan._g_freq = {}
         plan.plan_version = next(_PLAN_VERSIONS)
         plan._vec = None
+        plan.g_path = None
+        vec = prior._vec
+        if vec is not None and vec._G is not None:
+            plan._vec, patched = vec.patched(
+                rows, affected, ids, prior.landmark_ids, hw
+            )
+            plan.g_path = "patched" if patched else "hw_moved"
         plan._shm = None
         plan._graph = graph
         plan._labeling = labeling
@@ -494,9 +541,12 @@ class QueryPlan:
     def vector_backend(self):
         """The plan's numpy min-plus backend, or ``None`` without numpy.
 
-        Built lazily from :meth:`canonical_arrays` (zero-copy views over
-        the same buffers) and cached; answers are bitwise-identical to
-        :meth:`query` — see :mod:`repro.core.planvec` for the argument.
+        Indexed by the plan's slots.  An incremental plan usually gets
+        its backend patched from the prior epoch's; otherwise it is built
+        lazily — zero-copy over the canonical arrays of a full compile,
+        from the row tuples of an incremental plan — and cached.  Answers
+        are bitwise-identical to :meth:`query` — see
+        :mod:`repro.core.planvec` for the argument.
         """
         vec = self._vec
         if vec is None:
@@ -504,7 +554,13 @@ class QueryPlan:
 
             if not numpy_available():
                 return None
-            vec = self._vec = VectorBackend(self.canonical_arrays())
+            if self.label_offsets is None:
+                vec = VectorBackend.from_rows(
+                    self.n, self.k, self._rows, self.hw
+                )
+            else:
+                vec = VectorBackend(self.canonical_arrays())
+            self._vec = vec
         return vec
 
     def shared_buffers(self):
@@ -570,10 +626,13 @@ class QueryPlan:
         :meth:`__reduce__` pickles and :class:`QueryPlan`'s constructor
         accepts.  The sharded serving tier slices these arrays per shard
         (:func:`repro.shard.partition.partition_plan`); incremental plans
-        are densified first via :meth:`_canonical_args`.
+        are densified once via :meth:`_canonical_args`.
         """
         if self.label_offsets is None:
-            return self._canonical_args()
+            canonical = self._canonical
+            if canonical is None:
+                canonical = self._canonical = self._canonical_args()
+            return canonical
         return (
             self.n,
             self.k,
@@ -591,7 +650,8 @@ class QueryPlan:
         holes in ``landmark_ids`` and no flat label arrays; pickling
         compacts to the same canonical form :meth:`compile` produces —
         sorted dense landmark ids, slot-sorted CSR arrays — so the wire
-        format is identical regardless of how the plan was built.
+        format is identical regardless of how the plan was built.  The
+        plan is immutable, so :meth:`canonical_arrays` memoizes the result.
         """
         old_slot = self.slot_of
         ids = sorted(old_slot)
@@ -942,21 +1002,18 @@ class QueryPlan:
     def _alt_source(self):
         """``(ids, G, columns)``: where the exact landmark distances live.
 
-        With numpy, ``G`` is the vector backend's matrix and column ``j``
-        holds ``d(ids[j], ·)`` in the canonical dense landmark order;
+        Column ``j`` holds ``d(ids[j], ·)`` in slot order; ``ids`` may
+        hold ``-1`` holes, whose entries are all ``inf`` (:meth:`_alt`
+        skips them).  With numpy, ``G`` is the vector backend's matrix;
         without it ``G`` is ``None`` and rows and columns are computed
-        from the label rows in slot order (``ids`` may then hold ``-1``
-        holes, whose entries are all ``inf``).  ``columns`` caches
-        extracted columns by landmark id.
+        from the label rows.  ``columns`` caches extracted columns by
+        landmark id.
         """
         alt = self._alt_src
         if alt is None:
             vec = self.vector_backend()
-            if vec is not None:
-                alt = (sorted(self.slot_of), vec.g_matrix(), {})
-            else:
-                alt = (self.landmark_ids.tolist(), None, {})
-            self._alt_src = alt
+            G = vec.g_matrix() if vec is not None else None
+            alt = self._alt_src = (self.landmark_ids.tolist(), G, {})
         return alt
 
     def _alt_column(self, j: int) -> list[float]:
@@ -980,16 +1037,18 @@ class QueryPlan:
             columns[r] = col
         return col
 
-    def build_landmark_distances(self) -> None:
-        """Build the vector backend's ``G`` now (a no-op without numpy).
+    def build_landmark_distances(self) -> bool:
+        """Build the vector backend's ``G`` now; False without numpy.
 
         The batch kernel and the exact path's ALT bounds both read ``G``;
         :class:`~repro.core.epoch.PlanRegistry` calls this before it
         publishes an epoch, so no read after a write pays for the build.
         """
         vec = self.vector_backend()
-        if vec is not None:
-            vec.g_matrix()
+        if vec is None:
+            return False
+        vec.g_matrix()
+        return True
 
     def _compile_adjacency(self):
         """Landmark-free ``adj[v] = ((w, u), ...)``, lazily on first use.
@@ -1009,14 +1068,9 @@ class QueryPlan:
         graph = self._graph
         neighbors = graph.neighbors
         mask = self.mask
-        rows = [neighbors(v) for v in range(self.n)]
-        adj = [_landmark_free(nbrs, mask, v) for v, nbrs in enumerate(rows)]
+        adj = [_landmark_free(neighbors(v), mask, v) for v in range(self.n)]
         self._adj = adj
-        # Few distinct weights in practice: test each once.
-        self._integral = graph.unweighted or all(
-            float(w).is_integer()
-            for w in {w for nbrs in rows for _, w in nbrs}
-        )
+        self._integral = _integral_weights(graph, range(self.n))
         return adj
 
     # ------------------------------------------------------------------

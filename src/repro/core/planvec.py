@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 import os
+from itertools import chain
 
 INF = math.inf
 
@@ -83,16 +84,38 @@ def default_backend() -> str:
     return "vector" if numpy_available() else "flat"
 
 
-class VectorBackend:
-    """numpy views over one plan's canonical arrays, plus the kernels.
+def _flatten(np, rows, vertices):
+    """``(lens, slots, dists)`` arrays of ``rows[v]`` for ``v`` in order."""
+    picked = [rows[v] for v in vertices]
+    lens = np.fromiter(map(len, picked), dtype=np.int64, count=len(picked))
+    total = int(lens.sum())
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(picked)),
+        dtype=np.float64,
+        count=2 * total,
+    ).reshape(total, 2)
+    return lens, flat[:, 1].astype(np.int64), np.ascontiguousarray(flat[:, 0])
 
-    Construct from :meth:`QueryPlan.canonical_arrays` — the views are
-    zero-copy (``frombuffer``), so the backend adds O(n) derived
-    metadata (row lengths) and, lazily, the ``n × k`` matrix ``G`` with
-    ``G[v, j] = min_i (d_i + δ_H(r_i, j))`` over ``L(v)`` — the batched
-    generalization of the flat kernel's memoized hot g-rows (built for
-    *every* vertex because one vectorized pass costs less than the
-    per-row Python loop the flat path pays for hot rows alone).
+
+class VectorBackend:
+    """numpy views over one plan's label rows and ``δ_H``, plus the kernels.
+
+    Everything is indexed in the plan's own *slot* numbering, holes
+    included: a hole slot (a landmark that left, see
+    :meth:`QueryPlan.compile_incremental`) has an all-``inf`` row and
+    column in ``hw`` and an all-``inf`` column in ``G``, and no label row
+    references it.  A fully compiled plan is the hole-free case, so
+    :meth:`QueryPlan.canonical_arrays` (and a shared-memory attachment of
+    them) construct a backend directly — zero-copy (``frombuffer``).
+    The backend adds O(n) derived metadata (row lengths) and, lazily,
+    the ``n × k`` matrix ``G`` with ``G[v, j] = min_i (d_i + δ_H(r_i, j))``
+    over ``L(v)`` — the batched generalization of the flat kernel's
+    memoized hot g-rows (built for *every* vertex because one vectorized
+    pass costs less than the per-row Python loop the flat path pays for
+    hot rows alone).
+
+    An incrementally compiled plan derives its backend from the prior
+    epoch's with :meth:`patched`, at the cost of the changed rows.
     """
 
     __slots__ = (
@@ -112,15 +135,102 @@ class VectorBackend:
         if np is None:  # pragma: no cover - callers gate on numpy_available
             raise RuntimeError("numpy is not available")
         n, k, _ids, offsets, slots, dists, hw = canonical
+        self._set(
+            np,
+            n,
+            k,
+            np.frombuffer(offsets, dtype=np.int64),
+            np.frombuffer(slots, dtype=np.int64),
+            np.frombuffer(dists, dtype=np.float64),
+            hw,
+        )
+
+    def _set(self, np, n, k, offsets, slots, dists, hw) -> None:
         self.np = np
         self.n = n
         self.k = k
-        self.offsets = np.frombuffer(offsets, dtype=np.int64)
-        self.slots = np.frombuffer(slots, dtype=np.int64)
-        self.dists = np.frombuffer(dists, dtype=np.float64)
+        self.offsets = offsets
+        self.slots = slots
+        self.dists = dists
         self.hw = np.frombuffer(hw, dtype=np.float64).reshape(k, k)
-        self.row_len = self.offsets[1:] - self.offsets[:-1]
+        self.row_len = offsets[1:] - offsets[:-1]
         self._G = None
+
+    @classmethod
+    def from_rows(cls, n, k, rows, hw) -> "VectorBackend":
+        """A backend over slot-space row tuples ``((d, slot), ...)``."""
+        np = _load_numpy()
+        if np is None:  # pragma: no cover - callers gate on numpy_available
+            raise RuntimeError("numpy is not available")
+        lens, slots, dists = _flatten(np, rows, range(n))
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=offsets[1:])
+        vec = cls.__new__(cls)
+        vec._set(np, n, k, offsets, slots, dists, hw)
+        return vec
+
+    def patched(self, rows, changed, ids, prior_ids, hw):
+        """The next epoch's backend: ``(backend, g_patched)``.
+
+        ``rows`` are the next plan's slot-space row tuples, ``changed``
+        the vertices whose rows differ from this backend's, ``ids`` /
+        ``prior_ids`` the landmark id of every slot (``-1`` on holes) in
+        the next and this plan, ``hw`` the next plan's ``k × k`` buffer.
+
+        The CSR arrays are spliced: unchanged rows' segments are gathered
+        from this backend, changed rows written from ``rows``.  ``G`` is
+        copied and patched — changed rows through :meth:`_fill_g_rows`,
+        the kernel the full build runs; each slot whose landmark is new
+        gets its column from one ``minimum.reduceat`` over
+        ``dists + hw[slots, j]``; slots that became holes turn ``inf`` —
+        unless a ``δ_H`` cell between two surviving slots moved (an edge
+        reweight), which invalidates unchanged rows too: then ``G`` is
+        left to the full build (``g_patched`` is False).
+        """
+        np = self.np
+        n = self.n
+        k = len(ids)
+        is_changed = np.zeros(n, dtype=bool)
+        is_changed[np.fromiter(changed, np.int64, count=len(changed))] = True
+        touched = np.flatnonzero(is_changed)
+        new_lens, new_slots, new_dists = _flatten(np, rows, touched.tolist())
+        row_len = self.row_len.copy()
+        row_len[touched] = new_lens
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(row_len, out=offsets[1:])
+        kept_old = np.repeat(~is_changed, self.row_len)
+        kept_new = np.repeat(~is_changed, row_len)
+        slots = np.empty(int(offsets[-1]), dtype=np.int64)
+        dists = np.empty(int(offsets[-1]), dtype=np.float64)
+        slots[kept_new] = self.slots[kept_old]
+        dists[kept_new] = self.dists[kept_old]
+        written = ~kept_new
+        slots[written] = new_slots
+        dists[written] = new_dists
+        vec = VectorBackend.__new__(VectorBackend)
+        vec._set(np, n, k, offsets, slots, dists, hw)
+
+        k_old = self.k
+        same = [
+            i for i in range(k_old) if ids[i] >= 0 and ids[i] == prior_ids[i]
+        ]
+        surviving = np.ix_(same, same)
+        if not np.array_equal(vec.hw[surviving], self.hw[surviving]):
+            return vec, False
+        G = np.full((n, k), INF)
+        G[:, :k_old] = self.g_matrix()
+        holes = [j for j in range(k) if ids[j] < 0]
+        G[:, holes] = INF
+        fresh = [j for j in range(k) if ids[j] >= 0 and j not in same]
+        live = np.flatnonzero(row_len)
+        if fresh and len(live):
+            cand = dists[:, None] + vec.hw[:, fresh][slots]
+            G[np.ix_(live, fresh)] = np.minimum.reduceat(
+                cand, offsets[live], axis=0
+            )
+        vec._fill_g_rows(G, touched)
+        vec._G = G
+        return vec, True
 
     # ------------------------------------------------------------------
     # The dense g-matrix
@@ -133,30 +243,39 @@ class VectorBackend:
         return G
 
     def _build_g_matrix(self):
+        G = self.np.full((self.n, self.k), INF)
+        if self.k and self.n:
+            self._fill_g_rows(G, self.np.arange(self.n))
+        return G
+
+    def _fill_g_rows(self, G, vertices) -> None:
+        """Write ``G[v]`` for every ``v`` in the index array ``vertices``.
+
+        The one G-row kernel: the full build runs it over every vertex,
+        an epoch patch over the changed rows.  A padded per-row gather,
+        chunked over vertices: rows shorter than the longest read entry
+        0 and are masked to +inf, so they cannot disturb the minimum (and
+        empty rows come out all-inf, matching the flat kernel's "missing
+        row" answer).
+        """
         np = self.np
-        n, k = self.n, self.k
-        G = np.full((n, k), INF)
-        if k == 0 or n == 0 or len(self.slots) == 0:
-            return G
-        lmax = int(self.row_len.max())
+        k = self.k
+        lens_all = self.row_len[vertices]
+        lmax = int(lens_all.max()) if len(lens_all) else 0
         if lmax == 0:
-            return G
-        # Padded per-row gather, chunked over vertices: rows shorter than
-        # the chunk's max length read entry 0 and are masked to +inf, so
-        # they cannot disturb the minimum (and empty rows stay all-inf,
-        # matching the flat kernel's "missing row" answer).
+            G[vertices] = INF
+            return
         chunk = max(1, _CHUNK_CELLS // max(1, lmax * k))
         pos = np.arange(lmax)
-        for lo in range(0, n, chunk):
-            hi = min(n, lo + chunk)
-            lens = self.row_len[lo:hi]
+        for lo in range(0, len(vertices), chunk):
+            sel = vertices[lo : lo + chunk]
+            lens = lens_all[lo : lo + chunk]
             valid = pos[None, :] < lens[:, None]
-            idx = np.where(valid, self.offsets[lo:hi, None] + pos[None, :], 0)
+            idx = np.where(valid, self.offsets[sel, None] + pos[None, :], 0)
             # (C, lmax, k): d_i + δ row of each entry's landmark slot
             cand = self.dists[idx][:, :, None] + self.hw[self.slots[idx]]
             cand[~valid] = INF
-            G[lo:hi] = cand.min(axis=1)
-        return G
+            G[sel] = cand.min(axis=1)
 
     # ------------------------------------------------------------------
     # Constrained QUERY kernels

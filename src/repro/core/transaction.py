@@ -204,12 +204,23 @@ class IndexTransaction:
                 or journal._edge_saves
             ):
                 # Commit: tell the epoch registry what changed so it can
-                # recompile incrementally (touched rows = the journal's
-                # copy-on-write keys) and swap in the next epoch.
+                # recompile incrementally and swap in the next epoch.
+                # The journal's copy-on-write keys are every row written;
+                # only rows that differ from their pre-image need a patch.
+                labels = labeling._labels
                 registry.on_commit(
-                    affected=set(journal._label_saves),
+                    affected={
+                        v
+                        for v, saved in journal._label_saves.items()
+                        if labels[v] != saved
+                    },
                     base_version=self._base_version,
                     grew=journal._label_count is not None,
+                    edges={
+                        x
+                        for _, u, v, _ in journal._edge_saves
+                        for x in (u, v)
+                    },
                 )
             return False
         self._journal.rollback(labeling, highway)

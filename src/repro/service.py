@@ -859,6 +859,8 @@ class HCLService:
             counters["plan.epoch.publishes"] = epochs["publishes"]
             counters["plan.epoch.incremental"] = epochs["incremental"]
             counters["plan.epoch.cancelled"] = epochs["cancelled"]
+            counters["plan.epoch.g_patched"] = epochs["g_patched"]
+            counters["plan.epoch.g_full"] = epochs["g_full"]
             snap["gauges"]["plan.epoch.id"] = epochs["epoch"]
             snap["gauges"]["plan.epoch.live"] = epochs["live"]
             snap["gauges"]["plan.epoch.last_recompile_seconds"] = epochs[

@@ -247,14 +247,20 @@ class TestAdjacencyPatch:
             assert plan._integral == full._integral
         assert patched >= 8 and holes >= 4
 
-    def test_edge_reweight_drops_adjacency(self):
+    def test_edge_reweight_patches_adjacency(self):
         g = random_graph(32, n_lo=40, n_hi=40, weighted=True)
         dyn = DynamicHCL.build(g, [2, 9, 30])
         registry = dyn.enable_plan_epochs()
         registry.head_plan()._compile_adjacency()
-        u, v, w = next(iter(g.edges()))
-        dyn.apply_batch(edge_updates=[(u, v, w + 1.5)])
-        plan = registry.head.plan
-        assert plan._adj is None
-        plan._compile_adjacency()
-        assert not plan._integral  # a fractional weight turns ALT off
+        edges = list(g.edges())
+        for step, (u, v, w) in enumerate(edges[:6]):
+            # Integer reweights keep ALT on; the last one is fractional.
+            new = w + 1.5 if step == 5 else w + 2.0
+            dyn.apply_batch(edge_updates=[(u, v, new)])
+            plan = registry.head.plan
+            assert plan.label_offsets is None  # an incremental epoch
+            patched = plan._adj
+            assert patched is not None  # no compile on the read path
+            integral = plan._integral
+            assert patched == plan._build_adjacency()
+            assert integral == plan._integral == (step < 5)
