@@ -22,10 +22,13 @@ recorded from the pre-instrumentation tree.  Two gates:
 The compiled-plan serving path gets its own segments
 (``query_batch_plan``, ``distance_plan``, and the ungated
 ``plan_compile`` amortization cost) measured on the same index and query
-pairs as their dict twins.  Besides the absolute baseline gates, each
-plan segment must beat its dict twin *within the same run* by
+pairs as their dict twins.  Besides the absolute baseline gates,
+``distance_plan`` must beat its dict twin *within the same run* by
 ``PLAN_SPEEDUP_MIN`` — a machine-independent relative gate, so the
-speedup the plan exists for can never silently rot away.
+speedup the plan exists for can never silently rot away.  The
+``query_batch`` dict twin is reported ungated: a ``plan="off"`` batch is
+the per-pair dict oracle loop, not a serving path, so neither its
+absolute time nor the plan's margin over it gates anything.
 
 ``query_mvcc`` times the same batch served through a pinned MVCC epoch
 (``plan="epoch"``): identical plan arrays, minus the per-batch
@@ -40,9 +43,10 @@ serving slower than the revalidating path it replaces.
 and routing must keep the fleet within 2x of the in-process plan path.
 
 ``query_batch_vec`` and ``distance_vec`` serve the same batch and exact
-pairs through the numpy :class:`~repro.core.planvec.VectorBackend`; the
-flat twins pin ``backend="flat"`` so the comparison survives the
-``"auto"`` default now resolving to the vectorized backend.  The batch
+pairs through the numpy :class:`~repro.core.planvec.VectorBackend`
+(``distance_vec`` refines the vector kernel's bound); the flat twins
+patch numpy out of :mod:`repro.core.planvec`, since a plan serves from
+the vector kernel whenever numpy imports.  The batch
 segment carries the headline relative gate (``VEC_SPEEDUP_MIN``): the
 vectorized reduction must beat the interpreted flat kernel >= 1.5x
 in-run, on top of bitwise-identical answers.  The exact path is
@@ -89,6 +93,7 @@ import random
 import sys
 import tempfile
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -127,7 +132,6 @@ except ImportError:  # pragma: no cover
 REPS = 3
 GATED_SEGMENTS = (
     "build",
-    "query_batch",
     "distance_exact",
     "upgrade",
     "downgrade",
@@ -142,10 +146,9 @@ GATED_SEGMENTS = (
 
 # Relative gate: the compiled-plan serving path must actually beat its
 # dict twin *within the same run* (machine-independent, so it needs no
-# baseline entry).  Measured headroom is ~1.75x / ~1.58x; the gate is
-# set conservatively below that so CI noise cannot flake it.
+# baseline entry).  Measured headroom is ~1.58x; the gate is set
+# conservatively below that so CI noise cannot flake it.
 PLAN_TWINS = {
-    "query_batch_plan": "query_batch",
     "distance_plan": "distance_exact",
 }
 PLAN_SPEEDUP_MIN = 1.25
@@ -221,6 +224,19 @@ def calibration_score() -> float:
     return best
 
 
+@contextmanager
+def flat_kernel():
+    """Patch numpy out of ``repro.core.planvec``: plans serve flat."""
+    from repro.core import planvec
+
+    saved = planvec._NUMPY, planvec._NUMPY_CHECKED
+    planvec._NUMPY, planvec._NUMPY_CHECKED = None, True
+    try:
+        yield
+    finally:
+        planvec._NUMPY, planvec._NUMPY_CHECKED = saved
+
+
 def make_instance():
     graph = barabasi_albert(GRAPH_N, GRAPH_M, seed=GRAPH_SEED)
     landmarks = select_landmarks(graph, LANDMARKS, seed=LANDMARK_SEED)
@@ -261,7 +277,7 @@ def run_workload() -> dict[str, float]:
 
     for _ in range(REPS):
         start = time.perf_counter()
-        answers = query_batch(index, pairs, workers=1, plan="off")
+        answers = query_batch(index, pairs, plan="off")
         record("query_batch", time.perf_counter() - start)
     assert len(answers) == len(pairs)
 
@@ -297,7 +313,7 @@ def run_workload() -> dict[str, float]:
         )
         requests = [DistanceRequest(1, 2), ConstrainedDistanceRequest(3, 4)]
         requests += [AddLandmarkRequest(v) for v in ups[:2]]
-        requests += [BatchQueryRequest(tuple(pairs[:2000]), workers=1)]
+        requests += [BatchQueryRequest(tuple(pairs[:2000]))]
         requests += [RemoveLandmarkRequest(v) for v in ups[:2]]
         start = time.perf_counter()
         for request in requests:
@@ -421,21 +437,16 @@ def run_workload() -> dict[str, float]:
         )
     vec_answers = None
     for _ in range(REPS):
-        start = time.perf_counter()
-        plan_answers = query_batch(
-            index, pairs, workers=1, plan=plan, backend="flat"
-        )
-        record("query_batch_plan", time.perf_counter() - start)
-        start = time.perf_counter()
-        mvcc_answers = query_batch(
-            index, pairs, workers=1, plan="epoch", backend="flat"
-        )
-        record("query_mvcc", time.perf_counter() - start)
+        with flat_kernel():
+            start = time.perf_counter()
+            plan_answers = query_batch(index, pairs, plan=plan)
+            record("query_batch_plan", time.perf_counter() - start)
+            start = time.perf_counter()
+            mvcc_answers = query_batch(index, pairs, plan="epoch")
+            record("query_mvcc", time.perf_counter() - start)
         if have_numpy:
             start = time.perf_counter()
-            vec_answers = query_batch(
-                index, pairs, workers=1, plan=plan, backend="vector"
-            )
+            vec_answers = query_batch(index, pairs, plan=plan)
             record("query_batch_vec", time.perf_counter() - start)
     assert plan_answers == answers  # bitwise-identical serving
     assert mvcc_answers == answers  # snapshot serving stays bitwise-identical
@@ -450,11 +461,12 @@ def run_workload() -> dict[str, float]:
             distance(s, t)
         record("distance_plan", time.perf_counter() - start)
     if have_numpy:
+        vquery = plan.vector_backend().query
         for _ in range(REPS):
             pdist = plan.distance
             start = time.perf_counter()
             for s, t in exact_pairs:
-                pdist(s, t, backend="vector")
+                pdist(s, t, ub=vquery(s, t))
             record("distance_vec", time.perf_counter() - start)
 
     # Attach-time integrity: one unchecked attach vs one verifying
@@ -515,8 +527,8 @@ def observed_snapshot(out_path: str | None) -> dict:
             for v in update_vertices(graph, landmarks)[:3]:
                 svc.submit(AddLandmarkRequest(v))
                 svc.submit(RemoveLandmarkRequest(v))
-            svc.query_batch(pairs, workers=1)
-            svc.query_batch(pairs[:500], workers=1)  # warm-cache pass
+            svc.query_batch(pairs)
+            svc.query_batch(pairs[:500])  # warm-cache pass
             snapshot = svc.metrics()
     if out_path:
         Path(out_path).write_text(json.dumps(snapshot, indent=2))

@@ -139,12 +139,10 @@ class CachedQueryEngine:
     def batch(
         self,
         pairs,
-        workers: int | None = None,
         exact: bool = False,
         budget: Budget | None = None,
         strict: bool = False,
         plan="auto",
-        backend: str = "auto",
     ) -> list[float]:
         """Answer many pairs at once, through the cache.
 
@@ -179,12 +177,10 @@ class CachedQueryEngine:
             computed = query_batch(
                 self.dyn.index,
                 misses,
-                workers=workers,
                 exact=exact,
                 budget=budget,
                 strict=strict,
                 plan=plan,
-                backend=backend,
             )
             for i, key, value in zip(miss_at, misses, computed):
                 results[i] = value

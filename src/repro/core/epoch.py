@@ -557,7 +557,7 @@ class PlanRegistry:
     def _drop_locked(self, epoch: PlanEpoch) -> None:
         self._live.pop(epoch.epoch_id, None)
         # The retired plan's shared-memory segment (if it ever created
-        # one for pool/shard fan-out) is unlinked here, at the last
+        # one for shard fan-out) is unlinked here, at the last
         # possible reader's exit — the refcounted end of the epoch's
         # lifecycle.  Idempotent and crash-safe: the owner-side guard in
         # repro.core.shm makes a second unlink a no-op, and an atexit

@@ -26,9 +26,10 @@ INF = math.inf
 __all__ = ["HCLIndex", "IndexStats"]
 
 #: In ``plan_mode="auto"`` a :class:`~repro.core.plan.QueryPlan` is
-#: compiled once this many queries have been served against one index
-#: revision — enough repeats to amortize compilation, while an index
-#: alternating mutation and the odd query never compiles at all.
+#: compiled for the call that would take the queries served against one
+#: index revision past this count — a single query counts one, a batch
+#: its distinct pairs.  Enough repeats to amortize compilation, while an
+#: index alternating mutation and the odd query never compiles at all.
 PLAN_COMPILE_AFTER = 8
 
 
@@ -67,9 +68,9 @@ class HCLIndex:
         The :class:`~repro.core.labeling.Labeling` ``L``.
     plan_mode:
         How the compiled serving plan is managed: ``"auto"`` (default)
-        compiles lazily once the index has served
+        compiles lazily once the index would serve more than
         :data:`PLAN_COMPILE_AFTER` queries without a mutation in
-        between, ``"eager"`` compiles on the first query, ``"off"``
+        between (:meth:`compile_plan` compiles at once), ``"off"``
         serves every query from the authoritative dicts, and
         ``"epoch"`` serves from the head epoch of the MVCC
         :class:`~repro.core.epoch.PlanRegistry` with *no* per-query
@@ -162,8 +163,14 @@ class HCLIndex:
             )
         return registry
 
-    def _serving_plan(self) -> QueryPlan | None:
-        """Valid plan for the next query, compiling lazily per ``plan_mode``."""
+    def _serving_plan(self, queries: int = 1) -> QueryPlan | None:
+        """Valid plan for the next ``queries`` queries, compiling lazily.
+
+        The one compile rule of ``plan_mode="auto"``: a single query
+        counts one, a batch its distinct pairs, and the call that takes
+        the count served against this revision past
+        :data:`PLAN_COMPILE_AFTER` compiles the plan it is served from.
+        """
         mode = self.plan_mode
         if mode == "off":
             # "off" pins the dict path even when a compiled plan is still
@@ -182,8 +189,8 @@ class HCLIndex:
             self._plan_queries = 0
             if OBS.enabled:
                 OBS.registry.counter("plan.invalidations").inc()
-        queries = self._plan_queries + 1
-        if mode == "eager" or queries > PLAN_COMPILE_AFTER:
+        queries += self._plan_queries
+        if queries > PLAN_COMPILE_AFTER:
             return self.compile_plan()
         self._plan_queries = queries
         return None
@@ -227,6 +234,12 @@ class HCLIndex:
         plan = self._serving_plan()
         if plan is not None:
             return plan.query(s, t, budget)
+        return self._query_dicts(s, t, budget)
+
+    def _query_dicts(
+        self, s: int, t: int, budget: Budget | None = None
+    ) -> float:
+        """:meth:`query` from the authoritative dicts (the plan's oracle)."""
         ls = self.labeling.row_items(s)
         lt = self.labeling.row_items(t)
         if not ls or not lt:
@@ -308,6 +321,25 @@ class HCLIndex:
         plan = self._serving_plan()
         if plan is not None:
             return plan.distance(s, t, budget, strict)
+        return self._distance_dicts(s, t, budget, strict)
+
+    def _distance_dicts(
+        self,
+        s: int,
+        t: int,
+        budget: Budget | None = None,
+        strict: bool = False,
+        _what: str = "distance",
+        ub: float | None = None,
+    ) -> float:
+        """:meth:`distance` from the authoritative dicts (the plan's oracle).
+
+        ``ub`` is the constrained bound when the caller already has it
+        (batches compute every bound first); the label work of computing
+        it is then not charged to ``budget``.
+        """
+        if s == t:
+            return 0.0
         s_is_lmk = s in self.highway
         t_is_lmk = t in self.highway
         if s_is_lmk and t_is_lmk:
@@ -316,7 +348,8 @@ class HCLIndex:
             return self.query_from_landmark(s, t)
         if t_is_lmk:
             return self.query_from_landmark(t, s)
-        ub = self.query(s, t, budget)
+        if ub is None:
+            ub = self._query_dicts(s, t, budget)
         if budget is None:
             return bounded_bidirectional_distance_masked(
                 self.graph, s, t, ub, self._exclusion_mask()
@@ -326,7 +359,7 @@ class HCLIndex:
             # anytime answer (paper QUERY, computed above in label work).
             if strict:
                 raise DeadlineExceeded(
-                    f"distance({s}, {t}) exceeded its budget before "
+                    f"{_what}({s}, {t}) exceeded its budget before "
                     f"refinement ({budget.reason})"
                 )
             return budget.degrade(ub)
@@ -336,7 +369,7 @@ class HCLIndex:
         if budget.exceeded:
             if strict:
                 raise DeadlineExceeded(
-                    f"distance({s}, {t}) exceeded its budget mid-refinement "
+                    f"{_what}({s}, {t}) exceeded its budget mid-refinement "
                     f"({budget.reason})"
                 )
             return budget.degrade(best)

@@ -38,7 +38,7 @@ Every plan answer is **bitwise-equal** to the dict path, not just close:
 * the memoized per-endpoint row ``g_v[slot] = min_i (d_i + δ)`` is only
   built/used for the endpoint the serial loop scans *outer* (the smaller
   label, ties keeping the first argument), the same guarantee
-  ``repro.core.batchquery`` documents: float addition is monotone, so
+  ``repro.core.planvec`` documents: float addition is monotone, so
   ``min_j (min_i (d_i + δ)) + d_j`` equals the double-loop minimum
   bitwise;
 * the workspace refinement kernel keeps the dict kernel's alternation
@@ -82,6 +82,7 @@ from ..graphs.traversal import (
     _record_search,
 )
 from ..obs import OBS
+from .planvec import VectorBackend, numpy_available
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .index import HCLIndex
@@ -108,10 +109,8 @@ G_ROW_CACHE_CAP = 8192
 ALT_PRUNE_RATIO = 0.75
 
 #: Process-wide monotone plan ids.  A version never repeats within a
-#: process, so ``(segment name, plan_version)`` is a sound memoization
-#: key for per-worker shared-memory attachments: a recompiled plan gets
-#: a fresh version (and a fresh segment) and can never be served from a
-#: stale cached attachment.
+#: process, so a recompiled plan gets a fresh version (and a fresh
+#: shared-memory segment identity) and can never pass for a stale one.
 _PLAN_VERSIONS = itertools.count(1)
 
 
@@ -177,8 +176,8 @@ class QueryPlan:
     """A frozen, flat compilation of one ``HCLIndex`` snapshot.
 
     Build with :meth:`compile` (or ``HCLIndex.compile_plan()``).  The
-    canonical state is the parallel-array form (picklable, shipped to
-    pool workers); the per-vertex row tuples, highway row lists and
+    canonical state is the parallel-array form (picklable, shared with
+    shard workers); the per-vertex row tuples, highway row lists and
     compiled adjacency are interpreter-friendly views derived from it.
     """
 
@@ -506,9 +505,8 @@ class QueryPlan:
 
         Identity of the three source objects plus their revision
         counters; any mutator (or transaction rollback) bumps a counter,
-        so a stale plan can never satisfy this.  Unpickled plans (pool
-        workers) carry no stamp and never match — workers serve one
-        frozen batch and are discarded.
+        so a stale plan can never satisfy this.  Unpickled plans (and
+        shared-memory attachments) carry no stamp and never match.
         """
         labeling = index.labeling
         return (
@@ -525,21 +523,15 @@ class QueryPlan:
             )
         )
 
-    def attach_graph(self, graph) -> None:
-        """Give an unpickled plan a graph to refine exact queries on.
-
-        Pool workers receive the plan via its canonical arrays and the
-        batch's CSR snapshot separately; the compiled adjacency is then
-        derived from the snapshot on first use.
-        """
-        if self._graph is None:
-            self._graph = graph
-
     # ------------------------------------------------------------------
     # Accelerated backends (vectorized kernel, shared-memory transport)
     # ------------------------------------------------------------------
     def vector_backend(self):
         """The plan's numpy min-plus backend, or ``None`` without numpy.
+
+        ``None`` whenever numpy does not import in this process, even if
+        a backend was built earlier — so patching numpy out moves every
+        caller onto the flat kernel.
 
         Indexed by the plan's slots.  An incremental plan usually gets
         its backend patched from the prior epoch's; otherwise it is built
@@ -548,12 +540,10 @@ class QueryPlan:
         are bitwise-identical to :meth:`query` — see
         :mod:`repro.core.planvec` for the argument.
         """
+        if not numpy_available():
+            return None
         vec = self._vec
         if vec is None:
-            from .planvec import VectorBackend, numpy_available
-
-            if not numpy_available():
-                return None
             if self.label_offsets is None:
                 vec = VectorBackend.from_rows(
                     self.n, self.k, self._rows, self.hw
@@ -770,7 +760,6 @@ class QueryPlan:
         strict: bool = False,
         _what: str = "distance",
         ub: float | None = None,
-        backend: str = "flat",
     ) -> float:
         """Exact ``d(s, t)`` — bitwise-equal to :meth:`HCLIndex.distance`.
 
@@ -782,11 +771,10 @@ class QueryPlan:
         refinements the ALT lower bound skipped.
 
         ``ub`` short-circuits the constrained upper bound with a value
-        the caller already computed (the vectorized batch solver bounds
-        whole batches in one reduction); ``backend="vector"`` computes
-        it through :meth:`vector_backend` instead of the interpreted
-        loop.  Either way the bound is bitwise-equal to :meth:`query`,
-        so the refinement — and therefore the answer — is unchanged.
+        the caller already computed (:func:`repro.core.batchquery.query_batch`
+        bounds whole batches at once); its label work is then not charged
+        to ``budget``.  The bound is bitwise-equal to :meth:`query`, so
+        the refinement — and therefore the answer — is unchanged.
         """
         if s == t:
             return 0.0
@@ -801,18 +789,7 @@ class QueryPlan:
         if t_is_lmk:
             return self.query_from_landmark(t, s)
         if ub is None:
-            vec = self.vector_backend() if backend == "vector" else None
-            if vec is not None:
-                if budget is not None:
-                    # Mirror query()'s label-scan charge exactly: the
-                    # budget trace must not depend on the backend.
-                    rows = self._rows
-                    ls, lt = len(rows[s]), len(rows[t])
-                    if ls and lt:
-                        budget.charge(min(ls, lt))
-                ub = vec.query(s, t)
-            else:
-                ub = self.query(s, t, budget)
+            ub = self.query(s, t, budget)
         if budget is None:
             if OBS.enabled:
                 best, settled, edges, pushes, certified = self._search(

@@ -27,9 +27,9 @@ budget-charging contract (both sides charge ``min(|L(s)|, |L(t)|)``);
 the minimum itself is symmetric.
 
 numpy is an **optional** dependency: :func:`numpy_available` gates every
-entry point, ``REPRO_NO_NUMPY=1`` forces the pure-python flat path (the
-no-numpy CI job sets it), and :func:`default_backend` is the single
-place the ``auto`` backend choice is made.
+entry point, and ``REPRO_NO_NUMPY=1`` forces the pure-python flat path
+(the no-numpy CI job sets it).  There is no other switch: a plan serves
+from this backend exactly when numpy imports.
 """
 
 from __future__ import annotations
@@ -73,14 +73,10 @@ def numpy_available() -> bool:
 
 
 def default_backend() -> str:
-    """Resolve the ``auto`` backend: env override, else numpy presence.
+    """The kernel plans serve constrained bounds from.
 
-    ``REPRO_PLAN_BACKEND=vector|flat`` pins the choice (the differential
-    tests use it); otherwise ``vector`` whenever numpy imports.
+    ``"vector"`` whenever numpy imports, else ``"flat"``.
     """
-    forced = os.environ.get("REPRO_PLAN_BACKEND", "").strip().lower()
-    if forced in ("vector", "flat"):
-        return forced
     return "vector" if numpy_available() else "flat"
 
 

@@ -1,7 +1,7 @@
 """Shared-memory transport for compiled plan buffers.
 
 A :class:`~repro.core.plan.QueryPlan`'s canonical arrays are immutable
-once compiled, yet every pool fan-out and every shard broadcast used to
+once compiled, yet every shard broadcast used to
 *pickle* them — megabytes of label data serialized per worker, for state
 the workers only ever read.  This module moves the canonical arrays into
 one named ``multiprocessing.shared_memory`` segment so other processes
@@ -66,8 +66,8 @@ responsible for the single ``unlink``; attachers only ever ``close``
   :meth:`repro.core.plan.QueryPlan.release_shared`) — readers pinned to
   the old epoch have already attached, and POSIX keeps the pages alive
   for existing mappings after the name is gone;
-* an ``atexit`` hook unlinks every still-owned segment, so a pool or
-  shard worker that **crashed mid-batch** (and therefore never sent any
+* an ``atexit`` hook unlinks every still-owned segment, so a shard
+  worker that **crashed mid-batch** (and therefore never sent any
   kind of release) cannot leak the segment past the owner's lifetime —
   the owner's exit is the backstop, and the guard flag keeps the backstop
   compatible with an earlier explicit unlink.
@@ -228,10 +228,9 @@ def _attach_untracked(shared_memory, name: str):
 class SharedPlanRef:
     """A picklable, byte-sized handle to one owner's plan segment.
 
-    ``plan_version`` is the owning plan's monotonically-assigned id — the
-    attach-memoization key ``(name, plan_version)`` workers use, so a
-    recompiled plan (new version, new segment) can never be served from a
-    stale cached attachment.
+    ``plan_version`` is the owning plan's monotonically-assigned id, part
+    of the header identity every verifying attach checks, so a recompiled
+    plan (new version, new segment) can never pass for a stale one.
     """
 
     name: str

@@ -179,7 +179,7 @@ class PlanIntegrityError(ReproError):
         self.segment = segment
 
     def __reduce__(self):
-        # Keep ``segment`` across process boundaries: a pool worker's
+        # Keep ``segment`` across process boundaries: a shard worker's
         # attach failure must tell the parent *which* segment to
         # quarantine, and default exception pickling replays only
         # ``args``.

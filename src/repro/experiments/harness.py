@@ -14,7 +14,6 @@ Results are returned as plain dataclasses the table runners format.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..baselines.ch.gsp import CHGSP
@@ -229,12 +228,8 @@ def run_parallel(
     query = index.query
     with tracer.span("parallel.query_serial") as sp_qserial:
         serial_answers = [query(s, t) for s, t in pairs]
-    # Never oversubscribe the machine for serving: on a box with fewer
-    # cores than ``workers`` the shared-state serial batch path wins.
     with tracer.span("parallel.query_batch") as sp_qbatch:
-        batch_answers = query_batch(
-            index, pairs, min(workers, os.cpu_count() or 1)
-        )
+        batch_answers = query_batch(index, pairs)
     if batch_answers != serial_answers:
         raise AssertionError("query_batch diverged from the per-pair loop")
 

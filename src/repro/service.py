@@ -29,7 +29,6 @@ the test suite.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings
 from dataclasses import dataclass
@@ -108,20 +107,13 @@ class BatchQueryRequest:
     ``exact=False`` answers the landmark-constrained ``QUERY`` per pair,
     ``exact=True`` the exact distance — matching what a sequence of
     :class:`ConstrainedDistanceRequest` / :class:`DistanceRequest`
-    submissions would return, pair for pair.  ``workers`` bounds the
-    process pool used for large batches; it is clamped to the machine's
-    core count so an over-asked deployment never oversubscribes, and
-    rejected with :class:`~repro.errors.RequestError` when non-positive.
-    ``backend`` selects the plan's constrained kernel (``"auto"`` /
-    ``"vector"`` / ``"flat"`` — see
-    :func:`repro.core.batchquery.query_batch`); every choice returns
-    bitwise-identical answers.
+    submissions would return, pair for pair.  Every endpoint must be an
+    ``int`` vertex id in range, or the request is rejected with
+    :class:`~repro.errors.VertexError` naming the pair's position.
     """
 
     pairs: tuple[tuple[int, int], ...]
     exact: bool = False
-    workers: int | None = None
-    backend: str = "auto"
 
 
 @dataclass(frozen=True)
@@ -423,34 +415,26 @@ class HCLService:
                 )
             self.stats.queries += 1
         elif isinstance(request, BatchQueryRequest):
-            workers = request.workers
-            if workers is not None:
-                if workers <= 0:
-                    raise RequestError(
-                        f"workers must be positive, got {workers}"
-                    )
-                workers = min(workers, os.cpu_count() or 1)
             n = self._dyn.index.graph.n
             for i, (s, t) in enumerate(request.pairs):
-                if not (0 <= s < n and 0 <= t < n):
+                if not (
+                    isinstance(s, int)
+                    and isinstance(t, int)
+                    and 0 <= s < n
+                    and 0 <= t < n
+                ):
                     raise VertexError(
-                        f"pair {i} = ({s}, {t}) out of range [0, {n})"
+                        f"pair {i} = ({s!r}, {t!r}) is not a pair of vertex "
+                        f"ids in [0, {n})"
                     )
             if unbudgeted:
-                result = self._engine.batch(
-                    request.pairs,
-                    workers=workers,
-                    exact=request.exact,
-                    backend=request.backend,
-                )
+                result = self._engine.batch(request.pairs, exact=request.exact)
             else:
                 result = self._engine.batch(
                     request.pairs,
-                    workers=workers,
                     exact=request.exact,
                     budget=budget,
                     strict=strict,
-                    backend=request.backend,
                 )
             self.stats.queries += len(request.pairs)
         elif isinstance(request, AddLandmarkRequest):
@@ -767,34 +751,27 @@ class HCLService:
     def query_batch(
         self,
         pairs,
-        workers: int | None = None,
         exact: bool = False,
         budget: Budget | None = None,
         strict: bool = False,
-        backend: str = "auto",
     ) -> list[float]:
         """Serve many queries as one audited batch.
 
         Equivalent to submitting one :class:`ConstrainedDistanceRequest`
         (or :class:`DistanceRequest` when ``exact``) per pair — same
         answers, same cache — but the distinct pairs are solved together
-        with shared per-endpoint state (exact batches add one shared graph
-        snapshot), and large batches may fan out over ``workers``
-        processes (clamped to the
-        available cores; small batches stay serial).  Returns one value per
+        from one compiled plan (see
+        :func:`repro.core.batchquery.query_batch`).  Returns one value per
         pair in input order.
 
-        A ``budget`` spans the whole batch (the batch runs serially then —
-        pool workers cannot share a live budget) and is sticky: once it
+        A ``budget`` spans the whole batch and is sticky: once it
         expires, the current and all remaining exact pairs come back as
         flagged :class:`~repro.budget.DegradedResult` upper bounds, or
         ``strict=True`` aborts the batch with
         :class:`~repro.errors.DeadlineExceeded`.
         """
         return self.submit(
-            BatchQueryRequest(
-                tuple(pairs), exact=exact, workers=workers, backend=backend
-            ),
+            BatchQueryRequest(tuple(pairs), exact=exact),
             budget=budget,
             strict=strict,
         )
@@ -929,6 +906,8 @@ class HCLService:
         """
         breaker_state = self.breaker.state
         auditor = self.auditor.summary()
+        index = self._dyn.index
+        registry = index._plan_registry
         if breaker_state == "open":
             status = "failed"
         elif breaker_state == "half_open" or auditor["quarantined"]:
@@ -955,14 +934,13 @@ class HCLService:
             "landmarks": len(self._dyn.landmarks),
             "version": self._dyn.version,
             "plan": {
-                "mode": self._dyn.index.plan_mode,
-                "compiled": self._dyn.index.plan() is not None,
+                "mode": index.plan_mode,
+                "compiled": index.plan() is not None
+                or (registry is not None and registry.head is not None),
                 "backend": default_backend(),
                 "shm": shm_available(),
                 "epochs": (
-                    self._dyn.index._plan_registry.summary()
-                    if self._dyn.index._plan_registry is not None
-                    else None
+                    registry.summary() if registry is not None else None
                 ),
                 "integrity": {
                     "quarantined_segments": quarantined_segments(),

@@ -199,7 +199,7 @@ class TestObservedPath:
     def test_counters_come_from_the_serving_kernel(self):
         g = grid_graph(12, 12)
         index = build_hcl(g, [0, 11, 66, 132, 143])
-        index.plan_mode = "eager"
+        index.compile_plan()
         pairs = [(s, (7 * s + 5) % g.n) for s in range(1, 140, 3)]
         want = [index.distance(s, t) for s, t in pairs]
         plan = index.plan()

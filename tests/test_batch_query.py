@@ -3,8 +3,9 @@
 ``query_batch`` must agree *exactly* — infinities included — with a
 per-pair ``index.query`` / ``index.distance`` loop on seeded random
 workloads from :mod:`repro.workloads`, through every execution path:
-the plain double loop, the shared landmark rows, the deduplicated fan-out,
-the multiprocessing pool, and the service/cache layers on top.
+the dict oracle, the plan's vector kernel, its flat kernel (numpy
+patched out), the deduplicated fan-out, and the service/cache layers on
+top.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import math
 import pytest
 
 from conftest import path_graph, random_graph
-from repro.core import DynamicHCL, build_hcl, query_batch
+from repro.budget import Budget, DegradedResult
+from repro.core import DynamicHCL, QueryPlan, build_hcl, planvec, query_batch
 from repro.core.cache import CachedQueryEngine
 from repro.core.highway import Highway
-from repro.core.index import HCLIndex
+from repro.core.index import PLAN_COMPILE_AFTER, HCLIndex
 from repro.core.labeling import Labeling
 from repro.errors import VertexError
 from repro.graphs import Graph
@@ -36,6 +38,18 @@ def indexed_instance(seed: int, k: int | None = None):
         k = rng.randint(1, max(1, g.n // 3))
     landmarks = sorted(rng.sample(range(g.n), k))
     return g, build_hcl(g, landmarks)
+
+
+@pytest.fixture(params=["numpy", "no-numpy"])
+def kernel(request, monkeypatch):
+    """Run the test with the vector kernel, then with numpy patched out."""
+    if request.param == "numpy":
+        if not planvec.numpy_available():
+            pytest.skip("numpy unavailable")
+    else:
+        monkeypatch.setattr(planvec, "_NUMPY", None)
+        monkeypatch.setattr(planvec, "_NUMPY_CHECKED", True)
+    return request.param
 
 
 def split_instance():
@@ -98,24 +112,75 @@ class TestQueryBatchDifferential:
         with pytest.raises(VertexError):
             query_batch(index, [(0, g.n)])
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_non_int_vertex_ids_rejected(self, exact):
+        g, index = indexed_instance(0)
+        for bad in [(1.0, 2), (0, "1"), (None, 0)]:
+            with pytest.raises(VertexError, match="vertex ids"):
+                query_batch(index, [(0, 1), bad], exact=exact)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("max_settled", [None, 0, 25])
+    def test_matches_per_pair_dict_loop(self, kernel, exact, max_settled):
+        g, index = indexed_instance(3, k=4)
+        pairs = zipf_query_pairs(g.n, 300, alpha=1.2, seed=3)
+        oracle = build_hcl(g, sorted(index.landmarks))
+        oracle.plan_mode = "off"
+        plan = index.compile_plan()
+        if max_settled is None:
+            per_pair = oracle.distance if exact else oracle.query
+            want = [per_pair(s, t) for s, t in pairs]
+            assert query_batch(index, pairs, exact=exact) == want
+            assert query_batch(index, pairs, exact=exact, plan=plan) == want
+            assert query_batch(oracle, pairs, exact=exact) == want
+            return
+        # Budgeted: the dict branch is the per-pair oracle loop, charging
+        # constrained label scans in pair order and exact refinements only.
+        ba = Budget(max_settled=max_settled)
+        bb = Budget(max_settled=max_settled)
+        want = query_batch(oracle, pairs, exact=exact, budget=ba)
+        got = query_batch(index, pairs, exact=exact, budget=bb, plan=plan)
+        assert got == want
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert ba.settled == bb.settled
+        degraded = sum(isinstance(v, DegradedResult) for v in got)
+        if exact:
+            assert degraded > 0  # the budget really cut refinements short
+        else:
+            assert degraded == 0  # QUERY is the anytime floor
+            charged = Budget(max_settled=max_settled)
+            seen = set()
+            for s, t in pairs:
+                if (s, t) not in seen:
+                    seen.add((s, t))
+                    oracle.query(s, t, charged)
+            assert charged.settled == bb.settled
+
+    def test_batch_compiles_by_the_single_query_rule(self):
+        # The ninth single query compiles; so does a batch of nine
+        # distinct pairs, and a batch of eight does not.
+        g, index = indexed_instance(2, k=3)
+        landmarks = sorted(index.landmarks)
+        pairs = [(s, t) for s in range(3) for t in range(g.n)]
+        small = build_hcl(g, landmarks)
+        query_batch(small, pairs[:PLAN_COMPILE_AFTER] * 3)  # dupes not counted
+        assert small.plan() is None
+        large = build_hcl(g, landmarks)
+        query_batch(large, pairs[: PLAN_COMPILE_AFTER + 1])
+        assert large.plan() is not None
+        # Batches and single queries share one counter per revision.
+        mixed = build_hcl(g, landmarks)
+        for s, t in pairs[: PLAN_COMPILE_AFTER - 2]:
+            mixed.query(s, t)
+        query_batch(mixed, pairs[:2])
+        assert mixed.plan() is None
+        query_batch(mixed, pairs[2:3])
+        assert mixed.plan() is not None
+
     def test_no_landmarks_all_infinite(self):
         g = path_graph(4)
         index = build_hcl(g, [])
         assert query_batch(index, [(0, 3), (1, 2)]) == [INF, INF]
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_multiprocessing_path(self, workers):
-        g, index = indexed_instance(3)
-        pairs = random_query_pairs(g.n, 150, seed=7)
-        got = query_batch(index, pairs, workers=workers, min_parallel=1)
-        assert got == [index.query(s, t) for s, t in pairs]
-
-    @pytest.mark.slow
-    def test_multiprocessing_exact_path(self):
-        g, index = indexed_instance(4)
-        pairs = random_query_pairs(g.n, 200, seed=8)
-        got = query_batch(index, pairs, workers=2, exact=True, min_parallel=1)
-        assert got == [index.distance(s, t) for s, t in pairs]
 
 
 def adversarial_index(labels: dict[int, dict[int, float]]) -> HCLIndex:
@@ -147,44 +212,59 @@ class TestFloatAssociationRegressions:
     visible 1-ulp drift, not a rounding coincidence.
     """
 
-    def test_hot_endpoint_with_larger_label_keeps_serial_association(self):
-        # Vertex 2 is hot (recurs past the row threshold) but holds the
-        # *larger* label; the memoized row must nevertheless collapse the
-        # smaller label L(3), exactly as HCLIndex.query's swap does.
+    def test_hot_endpoint_with_larger_label_keeps_serial_association(
+        self, kernel
+    ):
+        # Vertex 2 is hot but holds the *larger* label; the factored row
+        # (the vector kernel's G, the flat kernel's memoized g-row) must
+        # nevertheless collapse the smaller label L(3), exactly as
+        # HCLIndex.query's swap does.
         index = adversarial_index({2: {0: 3.0, 1: 1.0}, 3: {0: 1e16}})
         pairs = [(2, 3), (3, 2)] * 4
         want = [index.query(s, t) for s, t in pairs]
-        assert query_batch(index, pairs, row_threshold=2) == want
+        plan = QueryPlan.compile(index)
+        for _ in range(3):  # later batches find the endpoints hot
+            assert query_batch(index, pairs, plan=plan) == want
         assert want[0] == (1e16 + 1.0) + 1.0  # == 1e16: small terms absorbed
 
-    def test_reversed_pairs_with_tied_labels_keep_their_orientation(self):
+    def test_reversed_pairs_with_tied_labels_keep_their_orientation(
+        self, kernel
+    ):
         # Tied label sizes: QUERY's outer loop follows argument order, so
         # query(2, 3) and query(3, 2) legitimately differ by one ulp and
         # the batch must not collapse one orientation onto the other.
         index = adversarial_index({2: {0: 1e16}, 3: {1: 1.0}})
         assert index.query(2, 3) != index.query(3, 2)  # 1-ulp apart
         pairs = [(2, 3), (3, 2), (2, 3)]
-        got = query_batch(index, pairs)
-        assert got == [index.query(s, t) for s, t in pairs]
+        want = [index.query(s, t) for s, t in pairs]
+        assert query_batch(index, pairs) == want
+        assert query_batch(index, pairs, plan=QueryPlan.compile(index)) == want
 
-    def test_incomplete_highway_row_matches_serial_inf(self):
+    def test_incomplete_highway_row_matches_serial_inf(self, kernel):
         # The serial path reads δ_H defensively (missing cell -> inf); the
-        # memoized row must do the same instead of raising KeyError.
+        # plan's rows must do the same instead of raising KeyError.
         index = adversarial_index({2: {0: 2.0, 1: 5.0}, 3: {0: 7.0}})
         del index.highway._dist[0][1]  # make row(0) incomplete
-        pairs = [(3, 2)] * 3
+        pairs = [(3, 2), (2, 3)] * 3
         want = [index.query(s, t) for s, t in pairs]
-        assert query_batch(index, pairs, row_threshold=2) == want
+        plan = QueryPlan.compile(index)
+        for _ in range(3):
+            assert query_batch(index, pairs, plan=plan) == want
 
-    def test_constrained_batch_never_snapshots_the_graph(self, monkeypatch):
+    def test_constrained_batch_never_snapshots_the_graph(
+        self, kernel, monkeypatch
+    ):
         g, index = indexed_instance(1)
+        plan = index.compile_plan()
 
-        def boom(graph):
-            raise AssertionError("CSR snapshot built for a constrained batch")
+        def boom(self):
+            raise AssertionError("adjacency built for a constrained batch")
 
-        monkeypatch.setattr("repro.core.batchquery.CSRGraph", boom)
+        monkeypatch.setattr(QueryPlan, "_build_adjacency", boom)
         pairs = random_query_pairs(g.n, 30, seed=3)
-        assert query_batch(index, pairs) == [index.query(s, t) for s, t in pairs]
+        index.plan_mode = "off"
+        want = [index.query(s, t) for s, t in pairs]
+        assert query_batch(index, pairs, plan=plan) == want
 
 
 class TestServiceBatch:

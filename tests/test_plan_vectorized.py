@@ -12,8 +12,7 @@ pure-python fallback when numpy is absent.
 The shared-memory transport gets its own lifecycle battery: ref/attach
 round trips, idempotent exactly-once unlink (including through epoch
 retirement, the owner-exit backstop, and a worker crash mid-batch), and
-the transport counters proving pool fan-out ships **zero** pickled
-arrays when a segment is available.
+the fleet's transport choice.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from conftest import grid_graph, path_graph, random_graph
 from repro.budget import Budget, DegradedResult
 from repro.core import DynamicHCL, build_hcl, query_batch
 from repro.core import planvec
-from repro.core.batchquery import TRANSPORT_COUNTS
 from repro.core.plan import QueryPlan
 from repro.core.shm import shm_available
 from repro.errors import DeadlineExceeded, RequestError
@@ -140,26 +138,35 @@ class TestVectorDifferential:
         assert vec.query_many([(0, 5), (1, 4)]) == [INF, INF]
 
     def test_distance_vector_backend_parity(self):
+        # The batch path's hand-off: a vector bound refined by distance().
         g = float_graph(11, n_lo=25, n_hi=35)
         index, plan = compiled(g, [2, 7, 13])
+        vec = plan.vector_backend()
         for s, t in all_pairs(g.n, stride=2):
             assert same_float(
-                plan.distance(s, t, backend="vector"), index.distance(s, t)
+                plan.distance(s, t, ub=vec.query(s, t)), index.distance(s, t)
             )
 
 
+def patch_numpy_out(monkeypatch):
+    """Force the flat kernel: plans see no numpy from here on."""
+    monkeypatch.setattr(planvec, "_NUMPY", None)
+    monkeypatch.setattr(planvec, "_NUMPY_CHECKED", True)
+
+
 # ----------------------------------------------------------------------
-# query_batch backends
+# query_batch kernels
 # ----------------------------------------------------------------------
 class TestBatchBackends:
     @needs_numpy
-    def test_constrained_batch_parity(self):
+    def test_constrained_batch_parity(self, monkeypatch):
         g = float_graph(3, n_lo=25, n_hi=35)
         index, plan = compiled(g, [1, 8, 17])
         pairs = zipf_query_pairs(g.n, 400, alpha=1.3, seed=3)
         want = query_batch(index, pairs, plan="off")
-        assert query_batch(index, pairs, plan=plan, backend="flat") == want
-        assert query_batch(index, pairs, plan=plan, backend="vector") == want
+        assert query_batch(index, pairs, plan=plan) == want  # vector
+        patch_numpy_out(monkeypatch)
+        assert query_batch(index, pairs, plan=plan) == want  # flat
 
     @needs_numpy
     def test_exact_batch_parity(self):
@@ -167,33 +174,8 @@ class TestBatchBackends:
         index, plan = compiled(g, [1, 8, 17])
         pairs = random_query_pairs(g.n, 120, seed=4)
         want = query_batch(index, pairs, exact=True, plan="off")
-        got = query_batch(
-            index, pairs, exact=True, plan=plan, backend="vector"
-        )
+        got = query_batch(index, pairs, exact=True, plan=plan)
         assert got == want
-
-    @needs_numpy
-    def test_pool_vector_parity(self):
-        g = float_graph(13, n_lo=30, n_hi=30)
-        index, plan = compiled(g, [1, 11, 21])
-        pairs = [(i % g.n, (3 * i + 1) % g.n) for i in range(600)]
-        want = query_batch(index, pairs, exact=True, plan="off")
-        got = query_batch(
-            index,
-            pairs,
-            workers=2,
-            exact=True,
-            min_parallel=10,
-            plan=plan,
-            backend="vector",
-        )
-        assert want == got
-
-    def test_invalid_backend_rejected(self):
-        g = path_graph(5)
-        index = build_hcl(g, [0])
-        with pytest.raises(RequestError, match="backend"):
-            query_batch(index, [(0, 4)], backend="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -209,12 +191,7 @@ class TestBudgetParity:
         index, plan = compiled(g, landmarks)
         for s, t in all_pairs(g.n, stride=4):
             ra = index.distance(s, t, budget=Budget(max_settled=max_settled))
-            rb = plan.distance(
-                s,
-                t,
-                budget=Budget(max_settled=max_settled),
-                backend="vector",
-            )
+            rb = plan.distance(s, t, budget=Budget(max_settled=max_settled))
             assert type(ra) is type(rb)
             assert same_float(float(ra), float(rb))
             if isinstance(ra, DegradedResult):
@@ -227,10 +204,7 @@ class TestBudgetParity:
         with pytest.raises(DeadlineExceeded):
             index.distance(1, 34, budget=Budget(max_settled=1), strict=True)
         with pytest.raises(DeadlineExceeded):
-            plan.distance(
-                1, 34, budget=Budget(max_settled=1), strict=True,
-                backend="vector",
-            )
+            plan.distance(1, 34, budget=Budget(max_settled=1), strict=True)
 
     def test_budgeted_batch_parity(self):
         g = float_graph(5, n_lo=30, n_hi=30)
@@ -242,19 +216,20 @@ class TestBudgetParity:
         )
         got = query_batch(
             index, pairs, exact=True, budget=Budget(max_settled=25),
-            plan=plan, backend="vector",
+            plan=plan,
         )
         assert [float(v) for v in want] == [float(v) for v in got]
         assert [type(v) for v in want] == [type(v) for v in got]
 
-    def test_constrained_batch_charges_identically(self):
+    def test_constrained_batch_charges_identically(self, monkeypatch):
         g = grid_graph(5, 5)
         index, plan = compiled(g, [0, 24])
         pairs = random_query_pairs(g.n, 40, seed=9)
         ba, bb = Budget(max_settled=10_000), Budget(max_settled=10_000)
-        query_batch(index, pairs, budget=ba, plan=plan, backend="flat")
-        query_batch(index, pairs, budget=bb, plan=plan, backend="vector")
-        assert ba.settled == bb.settled
+        query_batch(index, pairs, budget=bb, plan=plan)  # vector
+        patch_numpy_out(monkeypatch)
+        query_batch(index, pairs, budget=ba, plan=plan)  # flat
+        assert ba.settled == bb.settled > 0
 
 
 # ----------------------------------------------------------------------
@@ -288,8 +263,7 @@ class TestEpochStability:
 class TestNoNumpyFallback:
     @pytest.fixture()
     def no_numpy(self, monkeypatch):
-        monkeypatch.setattr(planvec, "_NUMPY", None)
-        monkeypatch.setattr(planvec, "_NUMPY_CHECKED", True)
+        patch_numpy_out(monkeypatch)
 
     def test_backend_resolution(self, no_numpy):
         assert not planvec.numpy_available()
@@ -305,20 +279,17 @@ class TestNoNumpyFallback:
         index, plan = compiled(g, [1, 7])
         pairs = zipf_query_pairs(g.n, 150, alpha=1.2, seed=6)
         want = query_batch(index, pairs, plan="off")
-        # An explicit "vector" request degrades silently — the flat
-        # kernel is the answer-identical portable path, not an error.
-        assert query_batch(index, pairs, plan=plan, backend="vector") == want
-        assert query_batch(index, pairs, plan=plan, backend="auto") == want
+        # The flat kernel is the answer-identical portable path.
+        assert query_batch(index, pairs, plan=plan) == want
+        assert query_batch(index, pairs, exact=True, plan=plan) == (
+            query_batch(index, pairs, exact=True, plan="off")
+        )
 
     def test_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         monkeypatch.setattr(planvec, "_NUMPY", None)
         monkeypatch.setattr(planvec, "_NUMPY_CHECKED", False)
         assert not planvec.numpy_available()
-        assert planvec.default_backend() == "flat"
-
-    def test_env_backend_pin(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PLAN_BACKEND", "flat")
         assert planvec.default_backend() == "flat"
 
 
@@ -434,37 +405,15 @@ class TestSharedMemoryLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Transport counters: shm pool fan-out pickles zero arrays
+# Fleet transport: shm refs when available, pickled slices otherwise
 # ----------------------------------------------------------------------
 class TestTransportCounters:
-    @needs_shm
-    def test_pool_fanout_uses_shm_not_pickle(self):
-        g = float_graph(14, n_lo=30, n_hi=30)
-        index, plan = compiled(g, [2, 12, 22])
-        pairs = [(i % g.n, (5 * i + 2) % g.n) for i in range(500)]
-        want = query_batch(index, pairs, exact=True, plan="off")
-        before = dict(TRANSPORT_COUNTS)
-        got = query_batch(
-            index, pairs, workers=2, exact=True, min_parallel=10, plan=plan
-        )
-        assert got == want
-        assert TRANSPORT_COUNTS["shm"] == before["shm"] + 1
-        assert TRANSPORT_COUNTS["pickle"] == before["pickle"]
-        plan.release_shared()
-
     def test_env_forces_pickle_transport(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLAN_SHM", "0")
         g = float_graph(15, n_lo=30, n_hi=30)
-        index, plan = compiled(g, [2, 12, 22])
-        pairs = [(i % g.n, (5 * i + 2) % g.n) for i in range(500)]
-        want = query_batch(index, pairs, exact=True, plan="off")
-        before = dict(TRANSPORT_COUNTS)
-        got = query_batch(
-            index, pairs, workers=2, exact=True, min_parallel=10, plan=plan
-        )
-        assert got == want
-        assert TRANSPORT_COUNTS["pickle"] == before["pickle"] + 1
-        assert TRANSPORT_COUNTS["shm"] == before["shm"]
+        _, plan = compiled(g, [2, 12, 22])
+        assert plan.shared_buffers() is None
+        assert partition_plan(plan, 2, transport="auto").transport == "pickle"
 
     @needs_shm
     def test_partition_transport_modes(self):

