@@ -15,10 +15,11 @@ in-process path:
 * **One plan** — every distinct pair is answered from one compiled
   :class:`~repro.core.plan.QueryPlan`: an explicit plan, the pinned head
   epoch, or the index's valid (or lazily compiled) plan.  The constrained
-  bounds come from one min-plus reduction of the plan's
-  :class:`~repro.core.planvec.VectorBackend` when numpy imports, and from
-  the flat ``QueryPlan.query`` loop otherwise; exact pairs refine their
-  bound with :meth:`QueryPlan.distance`.
+  bounds come from :meth:`QueryPlan.query_many` — one min-plus reduction
+  of the plan's :class:`~repro.core.planvec.VectorBackend` when numpy
+  imports, the flat ``QueryPlan.query`` loop otherwise — the same kernel
+  a fleet worker answers with; exact pairs refine their bound with
+  :meth:`QueryPlan.distance`.
 
 A batch with no plan (``plan="off"``, or an index pinned to
 ``plan_mode="off"``) runs the index's dict routines pair by pair — the
@@ -34,7 +35,7 @@ from ..errors import RequestError, VertexError
 from .index import HCLIndex
 from .plan import QueryPlan
 
-__all__ = ["query_batch"]
+__all__ = ["charge_label_scans", "query_batch"]
 
 
 def query_batch(
@@ -159,21 +160,26 @@ def _answer(index, plan, keys, exact, budget, strict) -> list[float]:
     else:
         rows = plan._rows
         distance = plan.distance
-        vec = plan.vector_backend()
-        if vec is not None:
-            bounds = vec.query_many(keys)
-        else:
-            plan.note_endpoints(keys)
-            query = plan.query
-            bounds = [query(s, t) for s, t in keys]
+        bounds = plan.query_many(keys)
     if not exact:
         if budget is not None:
-            for s, t in keys:
-                ls, lt = len(rows[s]), len(rows[t])
-                if ls and lt:
-                    budget.charge(min(ls, lt))
+            charge_label_scans(rows, keys, budget)
         return bounds
     return [
         distance(s, t, budget, strict, _what="batch distance", ub=ub)
         for (s, t), ub in zip(keys, bounds)
     ]
+
+
+def charge_label_scans(rows, keys, budget: Budget) -> None:
+    """Charge ``budget`` one ``QUERY`` label scan per pair, in pair order.
+
+    A scan costs ``min(|L(s)|, |L(t)|)``; a pair with an empty row is
+    answered ``inf`` without scanning and charges nothing.  ``rows`` is
+    anything indexable by vertex with sized rows (plan row tuples or the
+    labeling's dicts).
+    """
+    for s, t in keys:
+        ls, lt = len(rows[s]), len(rows[t])
+        if ls and lt:
+            budget.charge(min(ls, lt))

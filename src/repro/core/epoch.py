@@ -221,7 +221,7 @@ class PlanRegistry:
         published (the writer in ``"sync"``/``"deferred"`` modes, the
         recompile thread in ``"thread"`` mode, or a reader for the very
         first epoch).  The sharded serving tier uses this to learn that
-        its shard slices are stale; listeners must not call back into
+        its staged plans are stale; listeners must not call back into
         registry methods that publish.
         """
         with self._lock:

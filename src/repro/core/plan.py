@@ -613,10 +613,10 @@ class QueryPlan:
         """The plan's canonical 7-tuple ``(n, k, ids, offsets, slots, dists, hw)``.
 
         Dense, hole-free, slot-sorted — the exact wire form
-        :meth:`__reduce__` pickles and :class:`QueryPlan`'s constructor
-        accepts.  The sharded serving tier slices these arrays per shard
-        (:func:`repro.shard.partition.partition_plan`); incremental plans
-        are densified once via :meth:`_canonical_args`.
+        :meth:`__reduce__` pickles, :class:`QueryPlan`'s constructor
+        accepts and the shared-memory segment carries to fleet workers
+        (:mod:`repro.shard.worker`); incremental plans are densified once
+        via :meth:`_canonical_args`.
         """
         if self.label_offsets is None:
             canonical = self._canonical
@@ -728,6 +728,22 @@ class QueryPlan:
                 if d < g[j]:
                     g[j] = d
         return g
+
+    def query_many(self, keys) -> list[float]:
+        """``QUERY`` over ``(s, t)`` key pairs, in order.
+
+        The one bounds kernel of every batch, in-process or on a fleet
+        worker: one min-plus reduction of the :class:`VectorBackend` when
+        numpy imports, the flat :meth:`query` loop (row heat pre-seeded
+        with the keys' endpoints) otherwise.  Each answer is
+        bitwise-equal to ``query(s, t)``.
+        """
+        vec = self.vector_backend()
+        if vec is not None:
+            return vec.query_many(keys)
+        self.note_endpoints(keys)
+        query = self.query
+        return [query(s, t) for s, t in keys]
 
     def note_endpoints(self, keys) -> None:
         """Pre-seed row-heat counts with a batch's endpoint multiplicities."""

@@ -1,21 +1,20 @@
 """``repro.shard`` — sharded, replicated serving of compiled query plans.
 
-One process cannot serve millions of users.  This package partitions a
-compiled :class:`~repro.core.plan.QueryPlan` by contiguous vertex range
-across worker processes — each shard holding its label-row slice plus a
-full replica of the small dense ``δ_H`` table — and fronts the fleet
-with a fault-tolerant scatter-gather coordinator:
+One process cannot serve millions of users.  This package serves a
+compiled :class:`~repro.core.plan.QueryPlan` from a fleet of worker
+processes — every worker holds the whole plan, attached from the plan's
+shared-memory segment or unpickled — and fronts it with a
+fault-tolerant scatter-gather coordinator:
 
-* :mod:`repro.shard.partition` — slicing the plan's canonical arrays
-  (:class:`ShardSlice`, :func:`partition_plan`);
 * :mod:`repro.shard.worker` — the worker process: a versioned-state RPC
-  loop whose ``combine`` op is bitwise-equal to the plan's ``QUERY``;
+  loop whose ``combine`` op answers through the same kernel as an
+  in-process batch (:meth:`~repro.core.plan.QueryPlan.query_many`);
 * :mod:`repro.shard.replication` — per-replica process lifecycle,
   pipes, and circuit breakers;
-* :mod:`repro.shard.coordinator` — :class:`ShardedService`: routing,
-  deadline-aware retry with jittered backoff, replica failover, in-call
-  restart from the pinned epoch, graceful degradation, fleet
-  ``health()``, and atomic epoch cutover;
+* :mod:`repro.shard.coordinator` — :class:`ShardedService`: routing by
+  source vertex range, deadline-aware retry with jittered backoff,
+  replica failover, in-call restart from the pinned epoch, graceful
+  degradation, fleet ``health()``, and atomic epoch cutover;
 * :mod:`repro.shard.supervisor` — :class:`FleetSupervisor`: out-of-band
   heartbeats that catch dead *and hung* workers between queries,
   backoff-damped proactive restarts with epoch re-broadcast, and a
@@ -27,13 +26,9 @@ corruption) and writes the fleet-health JSON artifact.
 """
 
 from .coordinator import ShardedService
-from .partition import Partition, ShardSlice, partition_plan
 from .supervisor import FleetSupervisor
 
 __all__ = [
     "FleetSupervisor",
-    "Partition",
-    "ShardSlice",
     "ShardedService",
-    "partition_plan",
 ]

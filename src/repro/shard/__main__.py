@@ -118,7 +118,7 @@ def run_sweep(args) -> dict:
         if kind == "corrupt":
             # Byte-flip the live segment before the fleet attaches it:
             # every worker's CRC check must refuse it, and staging must
-            # complete over pickle slices from the clean heap arrays.
+            # complete over the pickled plan from its clean heap arrays.
             fault = None
             rpc_timeout = CORRUPT_RPC_TIMEOUT
             shared = plan.shared_buffers()

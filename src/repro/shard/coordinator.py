@@ -1,21 +1,20 @@
 """Scatter-gather coordinator: fault-tolerant serving over shard workers.
 
 :class:`ShardedService` fronts a fleet of shard worker processes
-(:mod:`repro.shard.worker`) holding a partitioned
-:class:`~repro.core.plan.QueryPlan` (:mod:`repro.shard.partition`) with
-``replication_factor`` replicas per shard (:mod:`repro.shard.replication`).
-It serves the landmark-constrained ``QUERY`` — single pairs and batches —
-with answers **bitwise-equal** to the unsharded plan, and it is built to
-keep answering while workers die:
+(:mod:`repro.shard.worker`), ``nshards`` replica groups of
+``replication_factor`` replicas each (:mod:`repro.shard.replication`).
+Every worker holds the whole compiled
+:class:`~repro.core.plan.QueryPlan`; a shard is the replica group that
+answers the pairs routed to it.  The fleet serves the
+landmark-constrained ``QUERY`` — single pairs and batches — with answers
+**bitwise-equal** to the plan, and it is built to keep answering while
+workers die:
 
-* **Routing.**  Each pair goes to the shard owning its *outer* endpoint
-  (the one the plan scans outer: smaller label row, ties keep ``s`` —
-  re-derived from the replicated ``row_lengths``, because float addition
-  is not associative and the endpoint choice is part of the bitwise
-  contract).  When the inner endpoint lives on another shard, its label
-  row is fetched from the owning shard first (phase A) and shipped
-  inline with the combine request (phase B) — rows are a few dozen
-  floats, far cheaper than shipping ``k``-wide partial minima.
+* **Routing.**  One phase: each pair goes to the shard owning its
+  source ``s`` under the balanced contiguous vertex ranges
+  ``[i·n/N, (i+1)·n/N)``, so a hot endpoint keeps landing on the same
+  group.  A shard's pairs go out as one ``combine`` RPC per replica, and
+  each worker answers through the same kernel an in-process batch uses.
 * **Retry + failover.**  Every shard RPC walks the shard's replicas in
   round-robin rotation under a deadline; failures trip the per-replica
   :class:`~repro.breaker.CircuitBreaker`, and attempts are spaced by the
@@ -24,7 +23,7 @@ keep answering while workers die:
   :class:`~repro.budget.Budget`.
 * **Self-healing.**  A shard whose replicas are all dead is restarted
   *in-call* (bounded to one restart per RPC) from the coordinator's
-  pinned slice cache; ``restart_dead()`` / post-batch auto-restart bring
+  pinned plans; ``restart_dead()`` / post-batch auto-restart bring
   the fleet back to full strength.
 * **Graceful degradation.**  A shard unreachable past the budget yields
   :class:`~repro.budget.DegradedResult` upper bounds (``inf`` — sound,
@@ -32,9 +31,9 @@ keep answering while workers die:
   with :class:`~repro.errors.Overloaded` at admission; the coordinator
   never hangs: every wait is bounded by ``rpc_timeout``, ``max_attempts``
   and the budget.
-* **Atomic epoch cutover.**  :meth:`publish` stages the next plan's
-  slices on every shard under a fresh version number while in-flight
-  batches keep reading the old one (workers hold ``{version: slice}``),
+* **Atomic epoch cutover.**  :meth:`publish` stages the next plan on
+  every shard under a fresh version number while in-flight batches keep
+  reading the old one (workers hold ``{version: plan}``),
   then flips the coordinator's version pointer in one assignment and
   garbage-collects the old version.  Attached to a
   :class:`~repro.core.epoch.PlanRegistry`, the registry's publish
@@ -51,11 +50,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 from ..breaker import CircuitBreaker
 from ..budget import Budget, DegradedResult
+from ..core.batchquery import charge_label_scans
 from ..errors import Overloaded, RequestError, ShardUnavailable
 from ..obs import MetricsRegistry
 from ..retry import BackoffPolicy
 from . import worker as worker_mod
-from .partition import partition_plan
 from .replication import (
     ReplicaCallError,
     ReplicaDown,
@@ -67,9 +66,20 @@ INF = math.inf
 
 __all__ = ["ShardedService"]
 
-#: Slice loads move whole label arrays; give them more room than the
-#: per-query RPC timeout (scaled, so tiny test timeouts stay tiny-ish).
+#: Loads copy the whole plan and build its ``G``; give them more room than
+#: the per-query RPC timeout (scaled, so tiny test timeouts stay tiny-ish).
 _LOAD_TIMEOUT_FACTOR = 20.0
+
+
+def shard_of(v: int, n: int, nshards: int) -> int:
+    """The shard owning vertex ``v`` under balanced contiguous ranges.
+
+    Closed form instead of bisect: with fenceposts ``⌊i·n/N⌋``, vertex
+    ``v`` belongs to the largest ``i`` with ``⌊i·n/N⌋ <= v``, which is
+    ``⌈(v+1)·N/n⌉ - 1`` (verified exhaustively against bisect in the
+    test suite).
+    """
+    return ((v + 1) * nshards + n - 1) // n - 1
 
 
 class ShardedService:
@@ -80,7 +90,7 @@ class ShardedService:
     plan:
         The :class:`~repro.core.plan.QueryPlan` to serve (version 1).
     nshards:
-        Worker shards (contiguous vertex ranges).
+        Worker shards (>= 1); pairs are routed by source vertex range.
     replication_factor:
         Replicas per shard (>= 1).  With 1 there is no failover target —
         a dead worker costs an in-call restart.
@@ -128,6 +138,8 @@ class ShardedService:
         auto_restart: bool = True,
         registry: MetricsRegistry | None = None,
     ):
+        if nshards < 1:
+            raise RequestError(f"nshards must be >= 1, got {nshards}")
         if replication_factor < 1:
             raise RequestError(
                 f"replication_factor must be >= 1, got {replication_factor}"
@@ -152,7 +164,7 @@ class ShardedService:
         self._refresh_lock = threading.Lock()
         self._inflight = 0
         self._version = 0
-        self._parts: dict = {}  # version -> Partition (the pinned slices)
+        self._plans: dict = {}  # version -> QueryPlan (the pinned plans)
         self._stale = False
         self._plan_registry = None
         self._listener = None
@@ -218,7 +230,7 @@ class ShardedService:
     # Epoch broadcast + atomic cutover
     # ------------------------------------------------------------------
     def publish(self, plan) -> int:
-        """Partition ``plan``, stage it fleet-wide, cut over atomically.
+        """Stage ``plan`` fleet-wide, cut over atomically.
 
         Returns the new version number.  Staging is parallel per shard;
         a replica that fails to stage is marked dead (it would serve
@@ -228,11 +240,15 @@ class ShardedService:
         version is dropped and :class:`~repro.errors.ShardUnavailable`
         raised, leaving the old version serving untouched.
         """
-        part = partition_plan(plan, self.nshards)
-        # Transport tally: "shm" broadcasts ship only ShardSliceRefs
-        # (the workers attach the plan's segment by name), "pickle"
-        # broadcasts ship the label arrays over every worker pipe.
-        self.registry.counter(f"fleet.transport.{part.transport}").inc()
+        # Transport tally: "shm" broadcasts ship only the segment's
+        # SharedPlanRef (the workers attach it by name), "pickle"
+        # broadcasts ship the plan's arrays over every worker pipe.
+        shared = plan.shared_buffers()
+        if shared is not None:
+            payload, transport = shared.ref, "shm"
+        else:
+            payload, transport = plan, "pickle"
+        self.registry.counter(f"fleet.transport.{transport}").inc()
         with self._lock:
             version = self._version + 1
         load_timeout = self.rpc_timeout * _LOAD_TIMEOUT_FACTOR
@@ -242,7 +258,6 @@ class ShardedService:
             for replica in self._sets[shard_id].replicas:
                 if not replica.alive:
                     continue
-                payload = part.slices[shard_id]
                 try:
                     replica.call("load", (version, payload), load_timeout)
                     ok = True
@@ -255,8 +270,8 @@ class ShardedService:
                     # The worker's attach-time CRC check caught segment
                     # corruption.  The worker is *healthy* — do not kill
                     # it; quarantine the segment coordinator-side (so
-                    # the owner republishes) and re-stage this shard
-                    # over the pickle transport from the canonical
+                    # the owner republishes) and re-stage this replica
+                    # over the pickle transport from the plan's heap
                     # arrays, which corruption cannot touch.
                     self._quarantine_from_error(str(exc))
                     self.registry.counter("fleet.integrity_fallbacks").inc()
@@ -265,11 +280,7 @@ class ShardedService:
                     self._scount(shard_id, "stage_failures")
                     continue
                 try:
-                    replica.call(
-                        "load",
-                        (version, part.restart_slice(shard_id)),
-                        load_timeout,
-                    )
+                    replica.call("load", (version, plan), load_timeout)
                     ok = True
                 except (ReplicaDown, ReplicaTimeout, ReplicaCallError):
                     replica.mark_dead()
@@ -287,10 +298,10 @@ class ShardedService:
             )
         with self._lock:
             old = self._version
-            self._parts[version] = part
+            self._plans[version] = plan
             self._version = version  # the atomic cutover
             self._stale = False
-            self._parts.pop(old, None)
+            self._plans.pop(old, None)
         if old:
             self._broadcast_drop(old)
         self.registry.counter("fleet.publishes").inc()
@@ -398,7 +409,7 @@ class ShardedService:
             quarantine(match.group(1))
 
     def _restart_one(self, rset: ReplicaSet, replica=None):
-        """Respawn one dead replica from the pinned slices; None on failure.
+        """Respawn one dead replica from the pinned plans; None on failure.
 
         ``replica`` picks a specific dead member (the supervisor's
         targeted repair); by default the first dead one is revived.
@@ -411,19 +422,15 @@ class ShardedService:
         elif replica.alive:
             return None
         with self._lock:
-            parts = dict(self._parts)
+            plans = dict(self._plans)
         load_timeout = self.rpc_timeout * _LOAD_TIMEOUT_FACTOR
         try:
             replica.spawn(fault=worker_mod._SHARD_FAULT)
-            for version, part in parts.items():
-                # Always a concrete slice: a ref would race epoch
+            for version, plan in plans.items():
+                # Always the pickled plan: a segment ref would race epoch
                 # retirement — the plan may have unlinked its segment
                 # since this version was published.
-                replica.call(
-                    "load",
-                    (version, part.restart_slice(rset.shard_id)),
-                    load_timeout,
-                )
+                replica.call("load", (version, plan), load_timeout)
         except (ReplicaDown, ReplicaTimeout, ReplicaCallError):
             replica.mark_dead()
             self._scount(rset.shard_id, "restart_failures")
@@ -434,7 +441,7 @@ class ShardedService:
         return replica
 
     def restart_dead(self) -> int:
-        """Respawn every dead replica from the pinned slices; returns the
+        """Respawn every dead replica from the pinned plans; returns the
         number revived."""
         revived = 0
         for rset in self._sets:
@@ -455,7 +462,7 @@ class ShardedService:
         return tuple(self._sets)
 
     def restart_replica(self, rset: ReplicaSet, replica=None) -> bool:
-        """Restart one dead replica of ``rset`` from the pinned slices.
+        """Restart one dead replica of ``rset`` from the pinned plans.
 
         Replays **every** pinned version into the fresh process (the
         epoch re-broadcast) and closes its breaker.  Returns ``True`` on
@@ -487,7 +494,7 @@ class ShardedService:
             self._inflight -= 1
 
     def query(self, s: int, t: int, budget: Budget | None = None) -> float:
-        """``QUERY(s, t)`` — bitwise-equal to the unsharded plan, or a
+        """``QUERY(s, t)`` — bitwise-equal to the plan, or a
         :class:`~repro.budget.DegradedResult` ``inf`` upper bound when the
         owning shard is unreachable within budget."""
         return self.query_batch([(s, t)], budget)[0]
@@ -507,94 +514,61 @@ class ShardedService:
                 self.refresh()
             with self._lock:
                 version = self._version
-                part = self._parts[version]
+                plan = self._plans[version]
             self.registry.counter("fleet.batches").inc()
             self.registry.counter("fleet.queries").inc(len(pairs))
-            return self._run_batch(pairs, version, part, budget)
+            return self._run_batch(pairs, version, plan, budget)
         finally:
             self._release()
             if self.auto_restart and any(r.dead() for r in self._sets):
                 self.restart_dead()
 
-    def _run_batch(self, pairs, version, part, budget):
-        n = part.n
-        rl = part.row_lengths
+    def _run_batch(self, pairs, version, plan, budget):
+        n = plan.n
+        nshards = self.nshards
+        rows = plan._rows
         results: list = [None] * len(pairs)
         per_shard: dict[int, list] = {}
-        remote_needs: dict[int, set] = {}
         for idx, (s, t) in enumerate(pairs):
-            if not (0 <= s < n and 0 <= t < n):
+            if not (
+                isinstance(s, int)
+                and isinstance(t, int)
+                and 0 <= s < n
+                and 0 <= t < n
+            ):
                 raise RequestError(
-                    f"query pair ({s}, {t}) outside vertex range [0, {n})"
+                    f"query pair ({s!r}, {t!r}) is not a pair of vertex "
+                    f"ids in [0, {n})"
                 )
-            if not rl[s] or not rl[t]:
+            if not rows[s] or not rows[t]:
                 results[idx] = INF  # what the plan answers, shard-free
                 continue
-            if budget is not None:
-                budget.charge(min(rl[s], rl[t]))
-            # The plan's outer/inner selection, replicated (see module doc).
-            if rl[s] > rl[t]:
-                outer_v, inner_v = t, s
-            else:
-                outer_v, inner_v = s, t
-            home = part.shard_of(outer_v)
-            inner_home = part.shard_of(inner_v)
-            if inner_home != home:
-                remote_needs.setdefault(inner_home, set()).add(inner_v)
-                per_shard.setdefault(home, []).append((idx, s, t, inner_v))
-            else:
-                per_shard.setdefault(home, []).append((idx, s, t, None))
+            per_shard.setdefault(shard_of(s, n, nshards), []).append(idx)
+        if budget is not None:
+            charge_label_scans(rows, pairs, budget)
 
-        # Phase A: fetch cross-shard inner rows from their owners.
-        rows_cache: dict[int, tuple] = {}
-        lost_rows: set[int] = set()
-        if remote_needs:
-            def _fetch(item):
-                owner, vs = item
-                vs = sorted(vs)
-                try:
-                    got = self._rpc(owner, "rows", (version, vs), budget)
-                    return vs, got
-                except ShardUnavailable:
-                    return vs, None
+        # Each shard's pairs go out as one combine per replica, in
+        # rotation order, so every member of the group serves the batch.
+        rf = self.replication_factor
 
-            for vs, got in self._executor.map(
-                _fetch, remote_needs.items()
-            ):
-                if got is None:
-                    lost_rows.update(vs)
-                else:
-                    rows_cache.update(zip(vs, got))
-
-        # Phase B: per-shard combine with inner rows inlined when remote.
         def _combine(item):
-            shard_id, entries = item
-            items = []
-            live_idx = []
-            for idx, s, t, inner_v in entries:
-                if inner_v is not None and inner_v in lost_rows:
-                    continue  # degraded below
-                items.append(
-                    (s, t, rows_cache[inner_v] if inner_v is not None else None)
-                )
-                live_idx.append(idx)
-            if not items:
-                return [], []
-            try:
-                values = self._rpc(
-                    shard_id, "combine", (version, items), budget
-                )
-            except ShardUnavailable:
-                return live_idx, None
-            return live_idx, values
-
-        for (shard_id, entries), (live_idx, values) in zip(
-            per_shard.items(),
-            self._executor.map(_combine, per_shard.items()),
-        ):
-            if values is not None:
-                for idx, value in zip(live_idx, values):
+            shard_id, idxs = item
+            step = -(-len(idxs) // rf)
+            for lo in range(0, len(idxs), step):
+                chunk = idxs[lo : lo + step]
+                try:
+                    values = self._rpc(
+                        shard_id,
+                        "combine",
+                        (version, [pairs[i] for i in chunk]),
+                        budget,
+                    )
+                except ShardUnavailable:
+                    return  # the rest of the shard's pairs degrade below
+                for idx, value in zip(chunk, values):
                     results[idx] = value
+
+        list(self._executor.map(_combine, per_shard.items()))
 
         # Anything still unanswered degrades: a sound (infinite) upper
         # bound tagged with why, never a hang and never a wrong number.

@@ -1,7 +1,7 @@
 """Replica lifecycle for one shard: spawn, ping, call, restart, retire.
 
 Each shard runs ``replication_factor`` identical worker processes
-(:func:`repro.shard.worker.shard_worker_main`) holding the same slice.
+(:func:`repro.shard.worker.shard_worker_main`) holding the same plan.
 :class:`Replica` owns one such process end-to-end — the pipe, the
 request-id sequence, a per-replica :class:`~repro.breaker.CircuitBreaker`
 and liveness bookkeeping — and :class:`ReplicaSet` groups a shard's

@@ -20,7 +20,7 @@ loop — one :meth:`tick` per ``period`` — that
    only ``hang_ticks`` consecutive misses declare the worker hung and
    mark it dead — a worker that answers again before the deadline keeps
    its process (and its warm caches);
-#. **repairs** every dead replica from the coordinator's pinned slices
+#. **repairs** every dead replica from the coordinator's pinned plans
    (:meth:`ShardedService.restart_replica`, which replays *every*
    pinned version into the fresh process — the epoch re-broadcast), with
    restarts damped by a :class:`~repro.retry.BackoffPolicy` budget per

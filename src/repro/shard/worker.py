@@ -1,4 +1,4 @@
-"""Shard worker process: serves one vertex range's label rows over a pipe.
+"""Shard worker process: serves the whole compiled plan over a pipe.
 
 A worker is a plain loop over a ``multiprocessing`` pipe speaking a tiny
 framed RPC protocol: requests are ``(req_id, op, payload)`` tuples,
@@ -6,7 +6,7 @@ replies are ``(req_id, ok, payload)``.  The ``req_id`` echo lets the
 coordinator discard stale replies after a timeout — a worker that was
 merely slow does not poison the next request on the same pipe.
 
-State is **versioned**: the worker holds ``{version: _ShardState}`` and
+State is **versioned**: the worker holds ``{version: QueryPlan}`` and
 every data RPC names the version it wants, so an epoch broadcast can
 stage version ``V+1`` on every shard while in-flight batches keep reading
 ``V`` — the coordinator flips its own version pointer only after every
@@ -17,38 +17,35 @@ answers an error, never a wrong-version result.
 Ops::
 
     ping                      -> liveness + held versions + counters
-    load    (version, slice)  -> stage a ShardSlice under that version
+    load    (version, plan)   -> stage a plan under that version
     drop    (version,)        -> forget a staged version
-    rows    (version, [v..])  -> label rows of owned vertices v
-    combine (version, items)  -> landmark-constrained minima (see below)
+    combine (version, pairs)  -> QUERY(s, t) for each pair
     shutdown                  -> reply, then exit
 
-``combine`` is the serving op.  Each item is ``(s, t, extra_row)``: the
-worker re-derives the plan's outer/inner endpoint choice from its full
-``row_lengths`` replica (the **outer** endpoint is always owned — the
-coordinator routed the pair here for that reason), takes the inner row
-locally when owned or from ``extra_row`` when the coordinator shipped it
-from the owning shard, and evaluates exactly
-:meth:`repro.core.plan.QueryPlan.query`'s kernel — same float
-association, same g-row memoization thresholds — so the merged answer is
-bitwise-equal to the unsharded plan.
+Every worker holds the *whole* plan, so ``combine`` needs no rows from
+other shards: it answers through :meth:`QueryPlan.query_many`, the same
+bounds kernel an in-process batch uses (vector with numpy, flat
+without), bitwise-equal to ``plan.query(s, t)``.  ``load`` takes either
+the plan's :class:`~repro.core.shm.SharedPlanRef` — the worker attaches
+the segment with its CRC check on, copies the canonical arrays out and
+detaches — or the pickled plan itself (no shared memory, restarts, and
+the integrity fallback).  Either way the worker builds the plan's ``G``
+at load, so no batch pays for it.
 
 Fault injection: :data:`_SHARD_FAULT` is the seam
 :func:`repro.testing.faults.inject_shard_fault` arms; the coordinator
 ships it to each worker at spawn, and the worker consults it once per
-RPC named in the fault's ``ops`` (the data RPCs by default; add
+RPC named in the fault's ``ops`` (``combine`` by default; add
 ``"ping"`` to fault heartbeat probes) — kill / hang / slow / raise.
 Always ``None`` in production.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 
-from ..core.plan import G_ROW_CACHE_CAP, ROW_HOT_THRESHOLD
-from .partition import ShardSlice, ShardSliceRef
-
-INF = math.inf
+from ..core.plan import QueryPlan
+from ..core.shm import SharedPlanRef
 
 __all__ = ["shard_worker_main"]
 
@@ -58,106 +55,28 @@ __all__ = ["shard_worker_main"]
 _SHARD_FAULT = None
 
 
-class _ShardState:
-    """One staged slice, unpacked into the plan's serving shapes.
+def _attach_plan(ref: SharedPlanRef) -> QueryPlan:
+    """Attach the plan's segment (CRC-checked), copy it out, detach.
 
-    Mirrors the interpreter-friendly views ``QueryPlan._build_views``
-    derives — per-vertex ``(distance, slot)`` row tuples and per-slot
-    highway row lists — plus the plan's g-row memoization (same
-    thresholds).  The g-row substitution is bitwise-safe regardless of
-    *which* endpoints go hot (see the lemma in :mod:`repro.core.plan`):
-    the worker's heat counters need not match the oracle's.
+    The copy keeps the plan valid after the owning epoch retires and
+    unlinks the segment.
     """
-
-    __slots__ = ("lo", "hi", "rows", "hwrows", "row_lengths", "_g_rows", "_g_freq")
-
-    def __init__(self, sl: ShardSlice):
-        self.lo = sl.lo
-        self.hi = sl.hi
-        offsets = sl.offsets
-        slots = sl.slots
-        dists = sl.dists
-        self.rows = [
-            tuple(
-                (dists[i], slots[i])
-                for i in range(offsets[v], offsets[v + 1])
-            )
-            for v in range(sl.hi - sl.lo)
-        ]
-        k = sl.k
-        hwlist = sl.hw.tolist()
-        self.hwrows = [hwlist[i * k : (i + 1) * k] for i in range(k)]
-        self.row_lengths = sl.row_lengths
-        self._g_rows = {}
-        self._g_freq = {}
-
-    def row(self, v: int):
-        return self.rows[v - self.lo]
-
-    def _g_row(self, v: int, row):
-        g = self._g_rows.get(v)
-        if g is not None:
-            return g
-        freq = self._g_freq
-        count = freq.get(v, 0) + 1
-        if count < ROW_HOT_THRESHOLD:
-            freq[v] = count
-            return None
-        if len(self._g_rows) >= G_ROW_CACHE_CAP:
-            self._g_rows.clear()
-            freq.clear()
-        hwrows = self.hwrows
-        k = len(hwrows)
-        g = [INF] * k
-        for di, si in row:
-            hwrow = hwrows[si]
-            for j in range(k):
-                d = di + hwrow[j]
-                if d < g[j]:
-                    g[j] = d
-        self._g_rows[v] = g
-        return g
-
-    def combine(self, s: int, t: int, extra_row):
-        """``QUERY(s, t)`` with the outer endpoint owned by this shard."""
-        rl = self.row_lengths
-        if not rl[s] or not rl[t]:
-            return INF
-        # Same selection rule as QueryPlan.query: scan the smaller row
-        # outer, ties keep s — float addition is not associative, so the
-        # choice is part of the bitwise contract.
-        if rl[s] > rl[t]:
-            outer_v, inner_v = t, s
-        else:
-            outer_v, inner_v = s, t
-        outer = self.row(outer_v)
-        inner = (
-            self.row(inner_v)
-            if self.lo <= inner_v < self.hi
-            else extra_row
-        )
-        g = self._g_row(outer_v, outer)
-        if g is not None:
-            best = INF
-            for dj, sj in inner:
-                d = g[sj] + dj
-                if d < best:
-                    best = d
-            return best
-        hwrows = self.hwrows
-        best = INF
-        for di, si in outer:
-            hwrow = hwrows[si]
-            for dj, sj in inner:
-                d = di + hwrow[sj] + dj
-                if d < best:
-                    best = d
-        return best
+    attachment = ref.attach()
+    try:
+        n, k, *views = attachment.arrays()
+        arrays = []
+        for view in views:
+            out = array(view.format)
+            out.frombytes(view.cast("B"))
+            arrays.append(out)
+    finally:
+        attachment.close()
+    return QueryPlan(n, k, *arrays)
 
 
 def shard_worker_main(conn, shard_id: int, replica_id: int, fault=None) -> None:
     """Entry point of a shard worker process (top-level: spawn-picklable)."""
-    states: dict[int, _ShardState] = {}
+    plans: dict[int, QueryPlan] = {}
     served = 0
     data_ordinal = 0
     while True:
@@ -166,46 +85,36 @@ def shard_worker_main(conn, shard_id: int, replica_id: int, fault=None) -> None:
         except (EOFError, OSError):
             return  # coordinator went away: nothing left to serve
         try:
-            if fault is not None and op in getattr(
-                fault, "ops", ("rows", "combine")
-            ):
+            if fault is not None and op in getattr(fault, "ops", ("combine",)):
                 ordinal = data_ordinal
                 data_ordinal += 1
                 fault.fire(shard_id, replica_id, ordinal)
-            if op in ("rows", "combine"):
-                version = payload[0]
-                state = states.get(version)
-                if state is None:
+            if op == "combine":
+                version, pairs = payload
+                plan = plans.get(version)
+                if plan is None:
                     raise KeyError(
                         f"shard {shard_id} replica {replica_id} does not "
                         f"hold version {version}"
                     )
-                if op == "rows":
-                    result = [state.row(v) for v in payload[1]]
-                else:
-                    result = [
-                        state.combine(s, t, extra)
-                        for s, t, extra in payload[1]
-                    ]
+                result = plan.query_many(pairs)
                 served += len(result)
             elif op == "ping":
                 result = {
                     "shard": shard_id,
                     "replica": replica_id,
-                    "versions": sorted(states),
+                    "versions": sorted(plans),
                     "served": served,
                 }
             elif op == "load":
-                version, sl = payload
-                if isinstance(sl, ShardSliceRef):
-                    # Shared-memory transport: only the ref crossed the
-                    # pipe; attach the plan's segment by name and cut
-                    # this shard's subrange out locally.
-                    sl = sl.materialize()
-                states[version] = _ShardState(sl)
+                version, plan = payload
+                if isinstance(plan, SharedPlanRef):
+                    plan = _attach_plan(plan)
+                plan.build_landmark_distances()
+                plans[version] = plan
                 result = version
             elif op == "drop":
-                states.pop(payload[0], None)
+                plans.pop(payload[0], None)
                 result = payload[0]
             elif op == "shutdown":
                 conn.send((req_id, True, None))

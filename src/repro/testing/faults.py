@@ -267,7 +267,7 @@ class ShardFault:
     """Kill, hang, slow down or fail one shard worker's serving RPCs.
 
     Fires inside the worker's request loop, on the data RPCs
-    (``rows``/``combine``) whose per-replica 0-based ordinal is listed in
+    (``combine``) whose per-replica 0-based ordinal is listed in
     ``requests``.  Targeting: ``shard`` picks the shard; ``replica``
     picks one replica of it (``None`` = every replica).
 
@@ -298,7 +298,7 @@ class ShardFault:
     replica: int | None = None
     requests: tuple[int, ...] = (0,)
     seconds: float = 1.0
-    ops: tuple[str, ...] = ("rows", "combine")
+    ops: tuple[str, ...] = ("combine",)
 
     def __post_init__(self):
         if self.kind not in ("kill", "hang", "slow", "raise"):

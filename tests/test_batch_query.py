@@ -156,6 +156,16 @@ class TestQueryBatchDifferential:
                     oracle.query(s, t, charged)
             assert charged.settled == bb.settled
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_plan_query_many_is_the_batch_bounds_kernel(self, kernel, seed):
+        g, index = indexed_instance(seed)
+        plan = index.compile_plan()
+        # Repeats heat endpoints past the flat kernel's g-row threshold.
+        pairs = zipf_query_pairs(g.n, 200, alpha=1.4, seed=seed)
+        oracle = [index._query_dicts(s, t) for s, t in pairs]
+        assert plan.query_many(pairs) == oracle
+        assert plan.query_many([]) == []
+
     def test_batch_compiles_by_the_single_query_rule(self):
         # The ninth single query compiles; so does a batch of nine
         # distinct pairs, and a batch of eight does not.

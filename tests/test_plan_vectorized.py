@@ -30,10 +30,10 @@ from repro.core import DynamicHCL, build_hcl, query_batch
 from repro.core import planvec
 from repro.core.plan import QueryPlan
 from repro.core.shm import shm_available
-from repro.errors import DeadlineExceeded, RequestError
+from repro.errors import DeadlineExceeded
 from repro.graphs import Graph
 from repro.graphs.csr import CSRGraph
-from repro.shard.partition import partition_plan
+from repro.shard import ShardedService
 from repro.workloads import random_query_pairs, zipf_query_pairs
 
 INF = math.inf
@@ -405,7 +405,7 @@ class TestSharedMemoryLifecycle:
 
 
 # ----------------------------------------------------------------------
-# Fleet transport: shm refs when available, pickled slices otherwise
+# Fleet transport: shm refs when available, pickled plans otherwise
 # ----------------------------------------------------------------------
 class TestTransportCounters:
     def test_env_forces_pickle_transport(self, monkeypatch):
@@ -413,18 +413,20 @@ class TestTransportCounters:
         g = float_graph(15, n_lo=30, n_hi=30)
         _, plan = compiled(g, [2, 12, 22])
         assert plan.shared_buffers() is None
-        assert partition_plan(plan, 2, transport="auto").transport == "pickle"
+        with ShardedService(plan, nshards=1, rpc_timeout=5.0) as svc:
+            assert svc.registry.counter("fleet.transport.pickle").value == 1
+            assert svc.registry.counter("fleet.transport.shm").value == 0
 
     @needs_shm
-    def test_partition_transport_modes(self):
+    def test_fleet_stages_over_shm_when_available(self):
         g = float_graph(16, n_lo=25, n_hi=25)
         _, plan = compiled(g, [1, 6, 11])
-        part = partition_plan(plan, 2, transport="auto")
-        assert part.transport == "shm"
-        forced = partition_plan(plan, 2, transport="pickle")
-        assert forced.transport == "pickle"
-        with pytest.raises(RequestError):
-            partition_plan(plan, 2, transport="carrier-pigeon")
+        pairs = random_query_pairs(g.n, 60, seed=5)
+        with ShardedService(plan, nshards=1, rpc_timeout=5.0) as svc:
+            assert svc.registry.counter("fleet.transport.shm").value == 1
+            assert svc.query_batch(pairs) == [
+                plan.query(s, t) for s, t in pairs
+            ]
         plan.release_shared()
 
 
@@ -457,20 +459,3 @@ class TestTypecodePortability:
             ):
                 assert array(code, arr).itemsize == 8
                 assert memoryview(arr).itemsize == 8
-
-    def test_partition_slices_are_8_byte(self):
-        g = float_graph(2, n_lo=20, n_hi=25)
-        _, plan = compiled(g, [3, 9])
-        part = partition_plan(plan, 2, transport="pickle")
-        for sl in part.slices:
-            clone = pickle.loads(pickle.dumps(sl))
-            for s in (sl, clone):
-                assert s.landmark_ids.typecode == "q"
-                assert s.offsets.typecode == "q"
-                assert s.slots.typecode == "q"
-                assert s.row_lengths.typecode == "q"
-                assert s.dists.typecode == "d"
-                assert s.hw.typecode == "d"
-                for arr in (s.landmark_ids, s.offsets, s.slots,
-                            s.row_lengths, s.dists, s.hw):
-                    assert arr.itemsize == 8

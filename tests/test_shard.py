@@ -1,6 +1,7 @@
-"""Tier-1 tests for the sharded serving tier: partitioning, the worker
-combine kernel, and :class:`~repro.shard.ShardedService` scatter-gather
-(bitwise equality, epoch cutover, admission, health, lifecycle).
+"""Tier-1 tests for the sharded serving tier:
+:class:`~repro.shard.ShardedService` scatter-gather over whole-plan
+workers (bitwise equality with and without numpy, epoch cutover,
+admission, request validation, health, lifecycle).
 
 Fault-schedule chaos coverage (kills mid-batch, hang/slow workers) lives
 in ``test_sharded_chaos.py`` under the ``chaos`` marker.
@@ -14,12 +15,11 @@ import pytest
 from conftest import grid_graph, random_graph
 from repro import DynamicHCL
 from repro.budget import Budget, DegradedResult
-from repro.core import build_hcl, select_landmarks
+from repro.core import build_hcl, planvec, query_batch, select_landmarks
 from repro.errors import Overloaded, RequestError
 from repro.service import AddLandmarkRequest, HCLService
-from repro.shard import Partition, ShardedService, partition_plan
-from repro.shard.partition import _bounds, shard_of
-from repro.shard.worker import _ShardState
+from repro.shard import ShardedService
+from repro.shard.coordinator import shard_of
 
 
 def make_plan(seed=11, n_lo=30, n_hi=60, k=4):
@@ -34,107 +34,28 @@ def sample_pairs(n, count, seed=5):
 
 
 # ----------------------------------------------------------------------
-# Partitioning arithmetic
+# Routing arithmetic: pairs go to the shard owning their source
 # ----------------------------------------------------------------------
 class TestPartition:
     def test_shard_of_closed_form_matches_bisect_exhaustively(self):
         for n in (1, 2, 3, 7, 20, 66, 100, 200, 333):
             for nshards in range(1, min(n, 9) + 1):
-                bounds = _bounds(n, nshards)
+                bounds = [i * n // nshards for i in range(nshards + 1)]
                 assert bounds[0] == 0 and bounds[-1] == n
                 for v in range(n):
                     want = bisect_right(bounds, v) - 1
-                    assert shard_of(v, bounds) == want, (n, nshards, v)
-
-    def test_slices_reassemble_the_canonical_arrays(self):
-        _, plan = make_plan()
-        n, k, lmk_ids, offsets, slots, dists, hw = plan.canonical_arrays()
-        part = partition_plan(plan, 3, transport="pickle")
-        assert isinstance(part, Partition)
-        assert part.n == n and part.k == k
-        # Ranges tile [0, n) contiguously and rebased offsets line up.
-        got_slots, got_dists = [], []
-        for sl, lo, hi in zip(part.slices, part.bounds, part.bounds[1:]):
-            assert (sl.lo, sl.hi) == (lo, hi)
-            assert sl.offsets[0] == 0
-            assert len(sl.offsets) == sl.owned + 1
-            assert sl.offsets[-1] == len(sl.slots) == len(sl.dists)
-            assert sl.hw == hw  # full dense replica
-            assert sl.landmark_ids == lmk_ids
-            assert len(sl.row_lengths) == n  # full routing replica
-            got_slots.extend(sl.slots)
-            got_dists.extend(sl.dists)
-        assert got_slots == list(slots)
-        assert got_dists == list(dists)
-        assert list(part.row_lengths) == [
-            offsets[v + 1] - offsets[v] for v in range(n)
-        ]
+                    assert shard_of(v, n, nshards) == want, (n, nshards, v)
 
     def test_rejects_bad_shard_counts(self):
         _, plan = make_plan()
-        with pytest.raises(RequestError):
-            partition_plan(plan, 0)
-        with pytest.raises(RequestError):
-            partition_plan(plan, plan.n + 1)
-
-    def test_holey_incremental_plan_is_densified_before_slicing(self):
-        g = grid_graph(5, 6)
-        dyn = DynamicHCL.build(g, [0, 5, 14, 22, 29])
-        registry = dyn.enable_plan_epochs()
-        dyn.query(0, 1)  # compile epoch 1
-        dyn.remove_landmark(14)  # incremental patch: -1 hole in the ids
-        plan = registry.head_plan()
-        assert -1 in plan.landmark_ids  # precondition: actually holey
-        part = partition_plan(plan, 2, transport="pickle")
-        assert part.k == 4  # densified: the hole is squeezed out
-        for sl in part.slices:
-            assert -1 not in sl.landmark_ids
-            assert len(sl.hw) == part.k * part.k
-            assert all(0 <= s < part.k for s in sl.slots)
-
-
-# ----------------------------------------------------------------------
-# Worker combine kernel (in-process, no fleet)
-# ----------------------------------------------------------------------
-class TestWorkerCombine:
-    def test_combine_is_bitwise_equal_to_the_plan(self):
-        _, plan = make_plan(seed=13)
-        part = partition_plan(plan, 2, transport="pickle")
-        states = [_ShardState(sl) for sl in part.slices]
-        rl = part.row_lengths
-        for s, t in sample_pairs(part.n, 200, seed=2):
-            if rl[s] > rl[t]:
-                outer_v, inner_v = t, s
-            else:
-                outer_v, inner_v = s, t
-            home = part.shard_of(outer_v)
-            state = states[home]
-            extra = None
-            if not state.lo <= inner_v < state.hi:
-                extra = states[part.shard_of(inner_v)].row(inner_v)
-            assert state.combine(s, t, extra) == plan.query(s, t)
-
-    def test_combine_repeated_pair_goes_hot_and_stays_bitwise(self):
-        # Drive one pair past ROW_HOT_THRESHOLD so the g-row memo kicks in.
-        _, plan = make_plan(seed=17)
-        part = partition_plan(plan, 2, transport="pickle")
-        states = [_ShardState(sl) for sl in part.slices]
-        rl = part.row_lengths
-        s, t = next(
-            (s, t)
-            for s, t in sample_pairs(part.n, 500, seed=3)
-            if rl[s] and rl[t]
-        )
-        outer_v = t if rl[s] > rl[t] else s
-        inner_v = s if outer_v == t else t
-        state = states[part.shard_of(outer_v)]
-        extra = None
-        if not state.lo <= inner_v < state.hi:
-            extra = states[part.shard_of(inner_v)].row(inner_v)
-        want = plan.query(s, t)
-        for _ in range(40):
-            assert state.combine(s, t, extra) == want
-        assert state._g_rows  # the memo actually engaged
+        for nshards in (0, -1):
+            with pytest.raises(RequestError):
+                ShardedService(plan, nshards=nshards)
+        # More shards than vertices is no longer an error: workers hold
+        # the whole plan, so the extra shards just own no sources.
+        n = plan.n
+        owners = {shard_of(v, n, n + 3) for v in range(n)}
+        assert owners <= set(range(n + 3)) and len(owners) == n
 
 
 # ----------------------------------------------------------------------
@@ -152,6 +73,70 @@ class TestShardedService:
             assert svc.query_batch(pairs) == oracle
             s, t = pairs[0]
             assert svc.query(s, t) == oracle[0]
+
+    @pytest.mark.parametrize("numpy_present", [True, False])
+    def test_batch_is_bitwise_with_and_without_numpy(
+        self, monkeypatch, numpy_present
+    ):
+        # Workers fork from this process, so the patch reaches them and
+        # they answer on the flat kernel; REPRO_NO_NUMPY covers spawn.
+        if not numpy_present:
+            monkeypatch.setattr(planvec, "_NUMPY", None)
+            monkeypatch.setattr(planvec, "_NUMPY_CHECKED", True)
+            monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        elif not planvec.numpy_available():
+            pytest.skip("numpy unavailable")
+        _, plan = make_plan(seed=53)
+        # Repeated endpoints drive the flat kernel's g-row memo.
+        pairs = sample_pairs(plan.n, 40, seed=23) * 4
+        oracle = [plan.query(s, t) for s, t in pairs]
+        with ShardedService(plan, nshards=2, rpc_timeout=5.0) as svc:
+            assert svc.query_batch(pairs) == oracle
+
+    def test_pairs_route_by_source_vertex_range(self):
+        _, plan = make_plan(seed=61)
+        half = plan.n // 2
+        pairs = [(s, t) for s, t in sample_pairs(plan.n, 80, seed=31)
+                 if s < half and plan._rows[s] and plan._rows[t]]
+        assert pairs
+        with ShardedService(plan, nshards=2, rpc_timeout=5.0) as svc:
+            assert svc.query_batch(pairs) == [
+                plan.query(s, t) for s, t in pairs
+            ]
+            calls = [
+                svc.registry.counter(f"shard.{i}.rpc.calls").value
+                for i in range(2)
+            ]
+        assert calls[0] >= 1 and calls[1] == 0
+
+    def test_budget_charges_like_the_in_process_batch(self):
+        g = random_graph(67, n_lo=30, n_hi=60)
+        index = build_hcl(g, select_landmarks(g, 4, policy="degree"))
+        plan = index.compile_plan()
+        # Distinct pairs: the in-process batch charges each distinct pair
+        # once, the fleet every pair in order (no dedup).
+        pairs = list(dict.fromkeys(sample_pairs(g.n, 120, seed=37)))
+        local = Budget(max_settled=10**9)
+        want = query_batch(index, pairs, budget=local, plan=plan)
+        with ShardedService(plan, nshards=3, rpc_timeout=5.0) as svc:
+            fleet = Budget(max_settled=10**9)
+            assert svc.query_batch(pairs, fleet) == want
+        assert fleet.settled == local.settled > 0
+
+    def test_holey_incremental_plan_is_served_bitwise(self):
+        g = grid_graph(5, 6)
+        dyn = DynamicHCL.build(g, [0, 5, 14, 22, 29])
+        registry = dyn.enable_plan_epochs()
+        dyn.query(0, 1)  # compile epoch 1
+        pairs = sample_pairs(g.n, 80, seed=29)
+        with ShardedService.from_registry(registry, nshards=2) as svc:
+            dyn.remove_landmark(14)  # incremental patch: -1 hole in the ids
+            plan = registry.head_plan()
+            assert -1 in plan.landmark_ids  # precondition: actually holey
+            assert svc.query_batch(pairs) == [
+                plan.query(s, t) for s, t in pairs
+            ]
+            assert svc.health()["version"] == 2
 
     def test_killed_replica_fails_over_and_heals(self):
         _, plan = make_plan(seed=23)
@@ -199,6 +184,14 @@ class TestShardedService:
                 svc.query(0, plan.n)
             with pytest.raises(RequestError):
                 svc.query(-1, 0)
+
+    def test_non_int_vertex_ids_rejected(self):
+        _, plan = make_plan(seed=59)
+        with ShardedService(plan, nshards=2) as svc:
+            for bad in [(1.0, 2), ("1", 2), (0, None)]:
+                with pytest.raises(RequestError, match="query pair"):
+                    svc.query_batch([(0, 1), bad])
+            assert svc.query(0, 1) == plan.query(0, 1)
 
     def test_epoch_publish_propagates_with_atomic_cutover(self):
         g = grid_graph(5, 6)
@@ -260,6 +253,15 @@ class TestShardedService:
             assert health["fleet.batches"] == 1
             assert health["fleet.queries"] == 10
 
+    def test_more_shards_than_vertices_serves(self):
+        g = grid_graph(1, 3)
+        plan = build_hcl(g, [1]).compile_plan()
+        pairs = [(s, t) for s in range(3) for t in range(3)]
+        with ShardedService(plan, nshards=4) as svc:
+            assert svc.query_batch(pairs) == [
+                plan.query(s, t) for s, t in pairs
+            ]
+
     def test_close_is_idempotent_and_queries_after_close_are_rejected(self):
         _, plan = make_plan(seed=43)
         svc = ShardedService(plan, nshards=2)
@@ -318,7 +320,7 @@ class TestStaleReplyDrain:
         )
         seen = []
         replica.on_stale = lambda n: seen.append(n)
-        assert replica.call("rows", None, 1.0) == "fresh"
+        assert replica.call("combine", None, 1.0) == "fresh"
         assert replica.stale_replies == 2
         assert seen == [1, 1]
 
@@ -338,5 +340,5 @@ class TestStaleReplyDrain:
         replica = _stub_replica([])
         replica._conn = _Endless([])
         with pytest.raises(ReplicaTimeout, match="babbling"):
-            replica.call("rows", None, 60.0)  # deadline alone won't save us
+            replica.call("combine", None, 60.0)  # deadline alone won't save us
         assert replica.stale_replies == _MAX_STALE_REPLIES

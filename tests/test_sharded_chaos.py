@@ -55,8 +55,8 @@ def test_single_worker_kill_mid_batch_keeps_answers_bitwise(
 ):
     plan, pairs, oracle = fixture_plan
     rng = random.Random(seed)
-    # Each replica sees only a couple of data RPCs per batch (one batched
-    # combine per shard plus row fetches), so the schedule varies *which*
+    # Each replica sees only a couple of data RPCs per batch (each shard's
+    # pairs go out as one combine per replica), so the schedule varies *which*
     # worker dies and fires on that worker's first data RPC — a kill that
     # always actually lands mid-batch.
     fault = ShardFault(
